@@ -22,6 +22,32 @@
 //! interference is exact for each resident set, held piecewise-constant
 //! between membership changes.
 //!
+//! ## Event core
+//!
+//! Because rates are piecewise constant, progress is closed-form: each
+//! running job keeps the instant `t0` its progress was last banked and
+//! the absolute time `fin` of its next event (completion, or its own
+//! failure). Progress is banked only when that job's rate changes — a
+//! re-pricing that moves its slowdown, a degradation window opening or
+//! closing, a crash — so an instant costs work in proportion to the
+//! nodes it touches, not to the cluster:
+//!
+//! * one min-heap keyed `(fin, node, generation)` holds each node's next
+//!   job event; re-timing a node bumps its generation, and stale entries
+//!   are dropped when they surface;
+//! * an event is due exactly when its stored time is `<= now` — no
+//!   tolerance window, so nothing is ever admitted before its own time;
+//! * policy-facing node views are refreshed only for nodes whose
+//!   membership, rates, staging or up/down state changed (plus, every
+//!   instant, nodes homing a DAG, whose release estimates move with
+//!   `now`);
+//! * a free-core histogram over up nodes answers the capacity precheck,
+//!   and an id → arrival map locates queue entries by binary search.
+//!
+//! A deliberately naive reference loop (test-only) rescans everything
+//! every instant and accumulates progress eagerly; a seeded property
+//! test holds the two to the same placements.
+//!
 //! ## Faults and checkpoint/restart
 //!
 //! A [`FaultSpec`] expands into a deterministic [`FaultPlan`]: per-node
@@ -69,16 +95,18 @@
 //! for any `--jobs` and across runs.
 
 use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
-use crate::policy::{NodeView, Policy, QueuedJob, ResidentView};
+use crate::policy::{NodeView, Placement, Policy, QueuedJob, ResidentView};
 use crate::predict::{Oracle, TenantKey};
 use crate::pricing::PriceCache;
 use pmemflow_core::{json_escape, json_f64, ExecError, ExecutionParams, SchedConfig};
 use pmemflow_dag::{stage_io_seconds, DagClass, DagSpec, StageKind, GIB};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, Locality};
-use pmemflow_fault::{requeue_backoff, CheckpointSpec, FaultEventKind, FaultPlan, FaultSpec};
+use pmemflow_fault::{
+    requeue_backoff, CheckpointSpec, FaultEvent, FaultEventKind, FaultPlan, FaultSpec,
+};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Runtime threshold for bounded slowdown (seconds): jobs shorter than
@@ -437,6 +465,90 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// Check a campaign's invariants from its records alone:
+///
+/// * one record per job id, ids contiguous from 0, every node id in range;
+/// * `arrival <= start <= finish` on every record, exactly;
+/// * per node, restart-free records (below) never overlap past one
+///   socket's cores;
+/// * no node's staging peak exceeds capacity;
+/// * when every record is restart-free, each node's busy core-seconds
+///   equal Σ 2 · ranks · (finish − start) over its records, to 1e-9
+///   relative.
+///
+/// A record is restart-free when it was never interrupted: no restarts
+/// and no lost work (a stage revived from a checkpoint snapshot restarts
+/// its count, not its lost work). Its `[start, finish)` is then exactly
+/// one residency on `node`.
+pub fn audit(out: &CampaignOutcome) -> Result<(), String> {
+    let cap = out.cores_per_node / 2;
+    if out.busy_core_secs.len() != out.nodes || out.peak_staging_gib.len() != out.nodes {
+        return Err(format!("per-node vectors do not cover {} nodes", out.nodes));
+    }
+    for (i, j) in out.jobs.iter().enumerate() {
+        if j.id != i as u64 {
+            return Err(format!("record {i} carries id {}: ids must be 0..n", j.id));
+        }
+        if j.node >= out.nodes {
+            return Err(format!("job {} on node {} of {}", j.id, j.node, out.nodes));
+        }
+        if !(j.arrival <= j.start && j.start <= j.finish) {
+            return Err(format!(
+                "job {}: arrival {} start {} finish {} out of order",
+                j.id, j.arrival, j.start, j.finish
+            ));
+        }
+    }
+    for (node, &peak) in out.peak_staging_gib.iter().enumerate() {
+        if peak > out.staging_capacity + 1e-9 {
+            return Err(format!(
+                "node {node}: staging peak {peak} GiB over capacity {}",
+                out.staging_capacity
+            ));
+        }
+    }
+    let restart_free = |j: &&JobRecord| j.restarts == 0 && j.lost_work == 0.0;
+    // Interval sweep: at equal times a departure frees its cores before
+    // an arrival claims them.
+    let mut edges: Vec<Vec<(f64, isize)>> = vec![Vec::new(); out.nodes];
+    for j in out
+        .jobs
+        .iter()
+        .filter(restart_free)
+        .filter(|j| j.finish > j.start)
+    {
+        edges[j.node].push((j.start, j.ranks as isize));
+        edges[j.node].push((j.finish, -(j.ranks as isize)));
+    }
+    for (node, mut edges) in edges.into_iter().enumerate() {
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut used = 0isize;
+        for (t, delta) in edges {
+            used += delta;
+            if used > cap as isize {
+                return Err(format!("node {node} holds {used} > {cap} cores at t={t}"));
+            }
+        }
+    }
+    if out.jobs.iter().all(|j| restart_free(&j)) {
+        let mut busy = vec![0.0f64; out.nodes];
+        for j in &out.jobs {
+            busy[j.node] += 2.0 * j.ranks as f64 * (j.finish - j.start);
+        }
+        for (node, (&want, &got)) in busy.iter().zip(&out.busy_core_secs).enumerate() {
+            if (want - got).abs() > 1e-9 * want.abs().max(got.abs()) {
+                return Err(format!(
+                    "node {node}: busy {got} core-s, records add up to {want}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One running attempt. Between rate changes its progress is closed-form
+/// — `progress + (t − t0) / wall_mult` solo-seconds at time `t` — and its
+/// next event fires at the stored absolute time `fin`.
 struct Running {
     id: u64,
     workflow: Arc<str>,
@@ -450,8 +562,15 @@ struct Running {
     client: Option<usize>,
     /// Predicted solo runtime under `config`.
     solo: f64,
-    /// Solo-seconds of work banked so far (monotone within an attempt).
+    /// Solo-seconds of work banked at `t0` (monotone within an attempt).
     progress: f64,
+    /// When `progress` and `ckpt_overhead` were last banked.
+    t0: f64,
+    /// When this attempt was placed: its busy core-seconds run from here.
+    placed: f64,
+    /// Absolute time of the attempt's next event at the current rate;
+    /// infinite until a fresh placement is first priced.
+    fin: f64,
     restarts: u32,
     lost_work: f64,
     ckpt_overhead: f64,
@@ -477,8 +596,24 @@ impl Running {
         self.slowdown * degrade * ckpt_mult
     }
 
-    fn projected_event(&self, now: f64, degrade: f64, ckpt_mult: f64) -> f64 {
-        now + (self.target() - self.progress).max(0.0) * self.wall_mult(degrade, ckpt_mult)
+    /// Bank progress and checkpoint time from `t0` to `now` at
+    /// `wall_mult`, the rate that held since `t0`. An attempt whose event
+    /// is due has reached its target exactly.
+    fn bank(&mut self, now: f64, wall_mult: f64, ckpt_share: f64) {
+        if self.fin <= now {
+            self.progress = self.target();
+        } else {
+            self.progress += (now - self.t0) / wall_mult;
+        }
+        // Checkpoint writes claim their share of every wall-second,
+        // whatever the rate (slowdown and degrade stretch both alike).
+        self.ckpt_overhead += (now - self.t0) * ckpt_share;
+        self.t0 = now;
+    }
+
+    /// Re-time the next event from the banked progress at `wall_mult`.
+    fn retime(&mut self, wall_mult: f64) {
+        self.fin = self.t0 + (self.target() - self.progress).max(0.0) * wall_mult;
     }
 }
 
@@ -489,6 +624,11 @@ struct NodeState {
     up: bool,
     /// Transient bandwidth-class penalty (1.0 = healthy).
     degrade: f64,
+    /// Cores in use per socket: the residents' summed ranks.
+    used: usize,
+    /// Bumped whenever the node is re-keyed in the event heap; entries
+    /// carrying an older generation are stale.
+    generation: u64,
 }
 
 struct Queued {
@@ -513,17 +653,148 @@ struct Queued {
     dag: Option<(u32, usize)>,
 }
 
-/// Keep the queue sorted by (arrival, id): a restarted job re-enters at
-/// its original priority, not at the back. The index is maintained in
-/// the same breath so it can never drift from the queue. Sortedness
-/// makes the insert point a binary search, and the ring buffer makes
-/// the insert shift only the shorter side — fresh arrivals (largest
-/// key, back of the queue) cost O(log n) + O(1) even when a backlogged
-/// campaign holds tens of thousands of entries.
-fn enqueue(queue: &mut VecDeque<Queued>, index: &mut QueueIndex, q: Queued, now: f64) {
-    index.on_enqueue(&q, now);
-    let at = queue.partition_point(|o| (o.job.arrival, o.job.id) <= (q.job.arrival, q.job.id));
-    queue.insert(at, q);
+/// Whether a queued job's backoff has expired at `now`. Exact: a job is
+/// never placed before its expiry and never waits past it, because the
+/// expiry itself is an event candidate.
+fn backoff_expired(q: &Queued, now: f64) -> bool {
+    q.eligible <= now
+}
+
+/// The wait queue, sorted by (arrival, id): a restarted job re-enters at
+/// its original priority, not at the back. With the id → arrival map
+/// supplying the sort key, locating any entry is a binary search, and
+/// the ring buffer makes an insert shift only the shorter side — fresh
+/// arrivals (largest key) cost O(log n) + O(1) even under a backlog of
+/// tens of thousands of entries. Two exact indexes spare the event loop
+/// O(queue) scans: pending backoff expiries and the multiset of `ranks`.
+struct Queue {
+    entries: VecDeque<Queued>,
+    arrival_of: HashMap<u64, f64>,
+    /// Multiset of future backoff expiries. Pruned on read once `now`
+    /// passes them; an entry that leaves the queue early (a DAG cascade)
+    /// takes its expiry with it.
+    backoff: BTreeMap<OrdF64, usize>,
+    /// Multiset of `ranks` over the whole queue, backoff state ignored:
+    /// exact for eligibility-filtered queries while no backoff is
+    /// pending, which is every round of a fault-free campaign.
+    rank_counts: BTreeMap<usize, usize>,
+}
+
+impl Queue {
+    fn new() -> Queue {
+        Queue {
+            entries: VecDeque::new(),
+            arrival_of: HashMap::new(),
+            backoff: BTreeMap::new(),
+            rank_counts: BTreeMap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn push(&mut self, q: Queued, now: f64) {
+        *self.rank_counts.entry(q.job.ranks).or_insert(0) += 1;
+        if q.eligible > now {
+            *self.backoff.entry(OrdF64(q.eligible)).or_insert(0) += 1;
+        }
+        self.arrival_of.insert(q.job.id, q.job.arrival);
+        let key = (q.job.arrival, q.job.id);
+        let at = self
+            .entries
+            .partition_point(|o| (o.job.arrival, o.job.id) <= key);
+        self.entries.insert(at, q);
+    }
+
+    fn position(&self, id: u64) -> Option<usize> {
+        let key = (*self.arrival_of.get(&id)?, id);
+        let at = self
+            .entries
+            .partition_point(|o| (o.job.arrival, o.job.id) < key);
+        debug_assert_eq!(self.entries[at].job.id, id, "id index out of sync");
+        Some(at)
+    }
+
+    fn get(&self, id: u64) -> Option<&Queued> {
+        self.position(id).map(|at| &self.entries[at])
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut Queued> {
+        self.position(id).map(|at| &mut self.entries[at])
+    }
+
+    fn remove(&mut self, id: u64, now: f64) -> Option<Queued> {
+        let at = self.position(id)?;
+        let q = self.entries.remove(at).expect("indexed entry is queued");
+        self.arrival_of.remove(&id);
+        match self.rank_counts.get_mut(&q.job.ranks) {
+            Some(1) => {
+                self.rank_counts.remove(&q.job.ranks);
+            }
+            Some(n) => *n -= 1,
+            None => unreachable!("rank multiset out of sync with the queue"),
+        }
+        if q.eligible > now {
+            match self.backoff.get_mut(&OrdF64(q.eligible)) {
+                Some(1) => {
+                    self.backoff.remove(&OrdF64(q.eligible));
+                }
+                Some(n) => *n -= 1,
+                None => unreachable!("backoff multiset out of sync with the queue"),
+            }
+        }
+        Some(q)
+    }
+
+    /// Drop expiries at or before `now`; what remains are exactly the
+    /// queued entries still in backoff.
+    fn prune(&mut self, now: f64) {
+        while let Some(entry) = self.backoff.first_entry() {
+            if entry.key().0 > now {
+                break;
+            }
+            entry.remove();
+        }
+    }
+
+    /// The earliest backoff expiry strictly after `now`, if any.
+    fn next_expiry(&mut self, now: f64) -> Option<f64> {
+        self.prune(now);
+        self.backoff.keys().next().map(|e| e.0)
+    }
+
+    /// Smallest `ranks` among entries eligible at `now`: the rank
+    /// multiset when nothing is in backoff, a scan otherwise.
+    fn min_eligible_ranks(&mut self, now: f64) -> Option<usize> {
+        self.prune(now);
+        if self.backoff.is_empty() {
+            self.rank_counts.keys().next().copied()
+        } else {
+            self.entries
+                .iter()
+                .filter(|q| backoff_expired(q, now))
+                .map(|q| q.job.ranks)
+                .min()
+        }
+    }
+
+    /// The policy-facing view at `now`: the eligible entries in queue
+    /// order. With no backoff pending the filter is the identity.
+    fn view(&self, now: f64) -> Vec<&QueuedJob> {
+        if self.backoff.is_empty() {
+            return self.entries.iter().map(|q| &q.job).collect();
+        }
+        self.entries
+            .iter()
+            .filter(|q| backoff_expired(q, now))
+            .map(|q| &q.job)
+            .collect()
+    }
 }
 
 /// What became of an interrupted attempt.
@@ -535,7 +806,7 @@ enum Interrupted {
 }
 
 /// Roll an interrupted attempt back to its last checkpoint and decide its
-/// fate under the retry budget.
+/// fate under the retry budget. `r.progress` must be banked to `now`.
 fn interrupt(r: Running, node: usize, now: f64, ckpt: &CheckpointSpec) -> Interrupted {
     let resume = if ckpt.interval > 0.0 {
         ((r.progress / ckpt.interval).floor() * ckpt.interval).min(r.progress)
@@ -593,15 +864,14 @@ fn interrupt(r: Running, node: usize, now: f64, ckpt: &CheckpointSpec) -> Interr
 }
 
 /// Rebuild one node's policy-facing view in place, reusing its
-/// `residents` allocation. Field-for-field identical to constructing
-/// the view from scratch at the same instant.
+/// allocations. `homed` lists the DAGs holding staging on the node.
 fn refresh_view(
     view: &mut NodeView,
     n: &NodeState,
-    now: f64,
-    ckpt_mult: f64,
     staging: &StagingState,
+    homed: &[u32],
     dags: &[DagRun],
+    now: f64,
 ) {
     view.up = n.up;
     view.residents.clear();
@@ -611,16 +881,15 @@ fn refresh_view(
             workflow: r.workflow.clone(),
             ranks: r.ranks,
             config: r.config,
-            projected_finish: r.projected_event(now, n.degrade, ckpt_mult),
+            projected_finish: r.fin,
         }));
     view.staging_reserved = staging.reserved[view.id];
     view.staged_gib = staging.live[view.id];
     view.staging_holds.clear();
-    view.staging_holds.extend(
-        dags.iter()
-            .filter(|d| d.home == Some(view.id) && d.unsettled > 0)
-            .map(|d| (now + d.remaining_solo(), d.reservation)),
-    );
+    view.staging_holds.extend(homed.iter().map(|&di| {
+        let d = &dags[di as usize];
+        (now + d.remaining_solo(), d.reservation)
+    }));
 }
 
 /// Per-node PMEM staging occupancy — the second schedulable resource.
@@ -699,6 +968,66 @@ struct DagRun {
 }
 
 impl DagRun {
+    /// Expand DAG submission `a` into stage jobs with ids from
+    /// `first_stage_id`, contiguous in stage order: stages without
+    /// predecessors start ready, the rest held.
+    fn expand(
+        a: Arrival,
+        first_stage_id: u64,
+        config: &CampaignConfig,
+        oracle: &Oracle,
+    ) -> Result<DagRun, ClusterError> {
+        let spec = a.dag.expect("a DAG submission carries its graph");
+        let n = spec.stages.len();
+        let extra_solo: Vec<f64> = (0..n)
+            .map(|i| stage_io_seconds(&spec, i, &config.exec))
+            .collect();
+        let est_solo: Vec<f64> = spec
+            .stages
+            .iter()
+            .zip(&extra_solo)
+            .map(|(st, extra)| {
+                let name = st.family.name();
+                oracle.solo_runtime(name, st.ranks, oracle.best_config(name, st.ranks)) + extra
+            })
+            .collect();
+        let reservation = spec.staging_gib();
+        if reservation > config.staging_gib + 1e-9 {
+            return Err(ClusterError::Config(format!(
+                "DAG {} needs {reservation:.1} GiB staging but nodes hold {:.1}",
+                a.workflow, config.staging_gib
+            )));
+        }
+        let deps_left: Vec<usize> = (0..n).map(|i| spec.predecessors(i).len()).collect();
+        let state = deps_left
+            .iter()
+            .map(|&dl| {
+                if dl == 0 {
+                    StageState::Ready
+                } else {
+                    StageState::Held
+                }
+            })
+            .collect();
+        Ok(DagRun {
+            label: Arc::from(a.workflow.as_str()),
+            spec,
+            arrival: a.time,
+            client: a.client,
+            first_stage_id,
+            deps_left,
+            state,
+            unsettled: n,
+            est_solo,
+            extra_solo,
+            reservation,
+            home: None,
+            live_gib: 0.0,
+            tokens: 0,
+            failed: false,
+        })
+    }
+
     /// Estimated solo-seconds of work left: the release horizon of the
     /// staging hold.
     fn remaining_solo(&self) -> f64 {
@@ -716,29 +1045,8 @@ impl DagRun {
     }
 }
 
-/// Backoff expiries strictly in the future, as event-loop candidates.
-/// Exact comparison, no epsilon: an expiry at or before `now` is already
-/// eligible (the queue view's business, not the event queue's), and an
-/// expiry a nanosecond ahead must be selectable as the next event — the
-/// old `e > now + 1e-9` filter dropped it from the candidate set and
-/// parked the job on whatever unrelated event happened to come later.
-fn next_backoff_expiry(queue: &VecDeque<Queued>, now: f64) -> Option<f64> {
-    queue
-        .iter()
-        .map(|q| q.eligible)
-        .filter(|&e| e > now)
-        .min_by(f64::total_cmp)
-}
-
-/// Whether a queued job's backoff has expired at `now`. Exact, matching
-/// [`next_backoff_expiry`]: a job is never placed before its expiry and
-/// never waits past it, because the expiry itself is an event candidate.
-fn backoff_expired(q: &Queued, now: f64) -> bool {
-    q.eligible <= now
-}
-
-/// `f64` with the engine's total order, for use as a heap key.
-#[derive(PartialEq)]
+/// `f64` with the engine's total order, for use as a heap or map key.
+#[derive(Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
@@ -753,90 +1061,10 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Incremental indexes over the queue, so per-event bookkeeping does not
-/// rescan every queued entry. Under a backlogged campaign the queue holds
-/// tens of thousands of fat records; the two O(queue) scans the event
-/// loop used to make per event (`next_backoff_expiry` and the capacity
-/// precheck's min-ranks pass) dominated whole campaigns at cluster scale.
-/// Every answer is exact — the fast paths degrade to the reference scans
-/// (asserted equal under `debug_assertions`) whenever they cannot answer
-/// precisely.
-struct QueueIndex {
-    /// Backoff expiries of queued entries, lazily pruned. An entry is
-    /// pushed when it enters the queue with `eligible` still in the
-    /// future and becomes stale once `now` passes that instant. Entries
-    /// that have *left* the queue left it past their expiry (a job is
-    /// never placed during backoff), so they are stale by the same rule —
-    /// pruning on read keeps the live set exact without tracking removal.
-    backoff: BinaryHeap<Reverse<OrdF64>>,
-    /// Multiset of `ranks` over the whole queue, backoff state ignored.
-    /// Exact for eligibility-filtered queries while no backoff is
-    /// pending, which is every round of a fault-free campaign.
-    rank_counts: BTreeMap<usize, usize>,
-}
-
-impl QueueIndex {
-    fn new() -> QueueIndex {
-        QueueIndex {
-            backoff: BinaryHeap::new(),
-            rank_counts: BTreeMap::new(),
-        }
-    }
-
-    fn on_enqueue(&mut self, q: &Queued, now: f64) {
-        *self.rank_counts.entry(q.job.ranks).or_insert(0) += 1;
-        if q.eligible > now {
-            self.backoff.push(Reverse(OrdF64(q.eligible)));
-        }
-    }
-
-    fn on_remove(&mut self, q: &Queued) {
-        match self.rank_counts.get_mut(&q.job.ranks) {
-            Some(1) => {
-                self.rank_counts.remove(&q.job.ranks);
-            }
-            Some(n) => *n -= 1,
-            None => unreachable!("rank multiset out of sync with the queue"),
-        }
-    }
-
-    /// Drop expiries at or before `now`; what remains are exactly the
-    /// queued entries still in backoff.
-    fn prune(&mut self, now: f64) {
-        while self
-            .backoff
-            .peek()
-            .is_some_and(|Reverse(OrdF64(e))| *e <= now)
-        {
-            self.backoff.pop();
-        }
-    }
-
-    /// [`next_backoff_expiry`] without the scan: the earliest expiry
-    /// strictly after `now`, if any entry is still in backoff.
-    fn next_expiry(&mut self, now: f64) -> Option<f64> {
-        self.prune(now);
-        self.backoff.peek().map(|Reverse(OrdF64(e))| *e)
-    }
-
-    /// Whether any queued entry is still inside its backoff at `now` —
-    /// when false, every queued entry is eligible and the rank multiset
-    /// answers eligibility-filtered queries exactly.
-    fn has_backoff(&mut self, now: f64) -> bool {
-        self.prune(now);
-        !self.backoff.is_empty()
-    }
-
-    /// Smallest `ranks` over the whole queue.
-    fn min_ranks(&self) -> Option<usize> {
-        self.rank_counts.keys().next().copied()
-    }
-}
-
 /// The node re-pricing machinery: either the campaign-local incremental
-/// [`PriceCache`] (default) or the oracle's full multiset path (the
-/// reference, behind [`CampaignConfig::full_reprice`]). Both assign every
-/// resident the bitwise-identical slowdown.
+/// [`PriceCache`] (default) or the oracle's full multiset path (behind
+/// [`CampaignConfig::full_reprice`]). Both assign every resident the
+/// bitwise-identical slowdown.
 struct Repricer {
     prices: PriceCache,
     ids: Vec<u32>,
@@ -844,7 +1072,7 @@ struct Repricer {
     full: bool,
     /// Wall nanoseconds spent repricing, and how many times — surfaced
     /// on [`CampaignOutcome`] so benchmarks can time the pricing path in
-    /// isolation (it is ~1% of the loop; end-to-end wall can't see it).
+    /// isolation.
     spent_ns: u64,
     calls: u64,
 }
@@ -861,34 +1089,31 @@ impl Repricer {
         }
     }
 
-    /// Re-price a node after a membership change: one co-simulation of
-    /// the resident multiset (memoized), progress carries over.
-    fn reprice(&mut self, node: &mut NodeState, oracle: &Oracle) -> Result<(), ClusterError> {
+    /// Price a node's resident multiset (memoized): one slowdown per
+    /// resident, in node order.
+    fn reprice(&mut self, running: &[Running], oracle: &Oracle) -> Result<&[f64], ClusterError> {
         let t0 = std::time::Instant::now();
         self.calls += 1;
-        let out = self.reprice_inner(node, oracle);
+        let out = self.price(running, oracle);
         self.spent_ns += t0.elapsed().as_nanos() as u64;
-        out
+        out?;
+        Ok(&self.slowdowns)
     }
 
-    fn reprice_inner(&mut self, node: &mut NodeState, oracle: &Oracle) -> Result<(), ClusterError> {
+    fn price(&mut self, running: &[Running], oracle: &Oracle) -> Result<(), ClusterError> {
         if self.full {
-            let keys: Vec<TenantKey> = node
-                .running
+            let keys: Vec<TenantKey> = running
                 .iter()
                 .map(|r| TenantKey::new(&r.workflow, r.ranks, r.config))
                 .collect();
-            let slowdowns = oracle.corun_slowdowns(&keys)?;
-            for (r, s) in node.running.iter_mut().zip(slowdowns) {
-                r.slowdown = s.max(1.0);
-            }
-            return Ok(());
+            self.slowdowns = oracle.corun_slowdowns(&keys)?;
+        } else {
+            self.ids.clear();
+            self.ids.extend(running.iter().map(|r| r.tenant));
+            self.prices.price(oracle, &self.ids, &mut self.slowdowns)?;
         }
-        self.ids.clear();
-        self.ids.extend(node.running.iter().map(|r| r.tenant));
-        self.prices.price(oracle, &self.ids, &mut self.slowdowns)?;
-        for (r, &s) in node.running.iter_mut().zip(self.slowdowns.iter()) {
-            r.slowdown = s.max(1.0);
+        for s in &mut self.slowdowns {
+            *s = s.max(1.0);
         }
         Ok(())
     }
@@ -922,6 +1147,93 @@ impl ClosedLoop {
             &mut self.rng,
         ))
     }
+
+    /// Submit `client`'s next job a think time after `now`, keeping
+    /// `pending` sorted by (time, id).
+    fn resubmit(&mut self, now: f64, client: usize, pending: &mut VecDeque<Arrival>) {
+        if let Some(a) = self.submit(now + self.think, client) {
+            let at = pending.partition_point(|p| (p.time, p.id) <= (a.time, a.id));
+            pending.insert(at, a);
+        }
+    }
+}
+
+/// The arrival source: the whole open stream up front, or each closed-loop
+/// client's first submission (all at t = 0) plus the loop that feeds the
+/// rest.
+fn arrival_source(config: &CampaignConfig) -> (VecDeque<Arrival>, Option<ClosedLoop>) {
+    match &config.arrivals {
+        ArrivalSpec::Closed {
+            clients,
+            think,
+            count,
+            mix,
+            dags,
+        } => {
+            let mut state = ClosedLoop {
+                think: *think,
+                mix: mix.clone(),
+                dags: dags.clone(),
+                rng: SplitMix64::new(config.seed),
+                budget: *count,
+                next_id: 0,
+            };
+            let pending = (0..*clients).filter_map(|c| state.submit(0.0, c)).collect();
+            (pending, Some(state))
+        }
+        open => {
+            // Copied, not converted: the generated vector carries up to
+            // a doubling's worth of spare capacity, the copy none.
+            let mut pending = VecDeque::new();
+            pending.extend(generate_open(open, config.seed).expect("open stream"));
+            (pending, None)
+        }
+    }
+}
+
+/// Checkpoint tax `f`: one image of `state_bytes` (written as
+/// `object_bytes` objects) into local PMEM every `interval` solo-seconds,
+/// charged through the same stack cost model the in-situ I/O pays —
+/// heavier software stacks tax checkpoints harder. Zero when
+/// checkpointing is off.
+fn checkpoint_tax(config: &CampaignConfig) -> f64 {
+    let ckpt = &config.checkpoint;
+    if ckpt.interval <= 0.0 {
+        return 0.0;
+    }
+    let cost = config
+        .exec
+        .cost_override
+        .unwrap_or_else(|| config.exec.stack.cost_model());
+    let objects = ckpt.state_bytes.div_ceil(ckpt.object_bytes);
+    let latency = config
+        .exec
+        .profile
+        .latency(Direction::Write, Locality::Local);
+    cost.snapshot_sw_time(Direction::Write, objects, ckpt.object_bytes, latency) / ckpt.interval
+}
+
+/// The queue entry for plain submission `a` under job id `id`.
+fn plain_entry(a: Arrival, id: u64) -> Queued {
+    Queued {
+        job: QueuedJob {
+            id,
+            workflow: a.workflow.into(),
+            ranks: a.ranks,
+            arrival: a.time,
+            staging: 0.0,
+            home: None,
+        },
+        client: a.client,
+        restarts: 0,
+        resume: 0.0,
+        eligible: a.time,
+        lost_work: 0.0,
+        ckpt_overhead: 0.0,
+        first_start: None,
+        config: None,
+        dag: None,
+    }
 }
 
 /// Build the queue entry for a released (or source) DAG stage. The
@@ -948,6 +1260,74 @@ fn stage_entry(d: &DagRun, di: u32, si: usize, now: f64) -> Queued {
         first_start: None,
         config: None,
         dag: Some((di, si)),
+    }
+}
+
+/// A stage that exhausted its retry budget, revived from a banked
+/// checkpoint revival: it restarts fresh from the staged snapshot on its
+/// home `node` once `eligible` passes, keeping its first start and
+/// configuration.
+fn revived_entry(rec: &JobRecord, node: usize, dag: (u32, usize), eligible: f64) -> Queued {
+    Queued {
+        job: QueuedJob {
+            id: rec.id,
+            workflow: Arc::from(rec.workflow.as_str()),
+            ranks: rec.ranks,
+            arrival: rec.arrival,
+            staging: 0.0,
+            home: Some(node),
+        },
+        client: None,
+        restarts: 0,
+        resume: 0.0,
+        eligible,
+        lost_work: rec.lost_work,
+        ckpt_overhead: rec.ckpt_overhead,
+        first_start: Some(rec.start),
+        config: Some(rec.config),
+        dag: Some(dag),
+    }
+}
+
+/// Where a fresh attempt of `q` (solo runtime `solo`) dies of its own
+/// cause, if the fault plan says it does: strictly between its resume
+/// point and completion.
+fn fail_point(plan: &FaultPlan, q: &Queued, solo: f64) -> Option<f64> {
+    plan.job_failure(q.job.id, q.restarts as u64)
+        .map(|frac| q.resume + frac * (solo - q.resume))
+        .filter(|&fa| fa > q.resume && fa < solo - 1e-9)
+}
+
+/// The record of an attempt that ran to completion on `node` at `now`.
+fn completed_record(r: &Running, node: usize, now: f64, dags: &[DagRun]) -> JobRecord {
+    let (dag, stage, staging_gib) = match r.dag {
+        Some((di, si)) => {
+            let d = &dags[di as usize];
+            (
+                d.label.to_string(),
+                d.spec.stages[si].name.clone(),
+                d.stage_staging_gib(si),
+            )
+        }
+        None => (String::new(), String::new(), 0.0),
+    };
+    JobRecord {
+        id: r.id,
+        workflow: r.workflow.to_string(),
+        ranks: r.ranks,
+        config: r.config,
+        node,
+        arrival: r.arrival,
+        start: r.first_start,
+        finish: now,
+        solo: r.solo,
+        restarts: r.restarts,
+        lost_work: r.lost_work,
+        ckpt_overhead: r.ckpt_overhead,
+        completed: true,
+        dag,
+        stage,
+        staging_gib,
     }
 }
 
@@ -985,44 +1365,31 @@ fn failed_stage_record(
 }
 
 /// Release the staging reservation and fire the owning client once the
-/// last stage settles. Idempotent: home and client are taken.
+/// last stage settles, returning the node released. Idempotent: home and
+/// client are taken.
 fn finish_dag_if_settled(
     d: &mut DagRun,
     staging: &mut StagingState,
     finished_clients: &mut Vec<usize>,
-) {
+) -> Option<usize> {
     if d.unsettled > 0 {
-        return;
-    }
-    if let Some(h) = d.home.take() {
-        staging.reserved[h] -= d.reservation;
-        staging.live[h] -= d.live_gib;
-        d.live_gib = 0.0;
+        return None;
     }
     if let Some(c) = d.client.take() {
         finished_clients.push(c);
     }
+    let h = d.home.take()?;
+    staging.reserved[h] -= d.reservation;
+    staging.live[h] -= d.live_gib;
+    d.live_gib = 0.0;
+    Some(h)
 }
 
-/// Bookkeeping after stage `si` of dag `di` completes on `node`: bank a
-/// checkpoint revival, roll the node's live staged bytes (outputs
-/// appear, consumed inputs free), release ready successors into the
-/// queue at the DAG's arrival priority, and close out the DAG when this
-/// was the last stage.
-#[allow(clippy::too_many_arguments)]
-fn stage_completed(
-    di: u32,
-    si: usize,
-    node: usize,
-    now: f64,
-    queue: &mut VecDeque<Queued>,
-    qindex: &mut QueueIndex,
-    dags: &mut [DagRun],
-    staging: &mut StagingState,
-    held: &mut usize,
-    finished_clients: &mut Vec<usize>,
-) {
-    let d = &mut dags[di as usize];
+/// Stage `si` of `d` completed on `node`: bank a checkpoint revival and
+/// roll the node's live staged bytes (outputs appear, consumed inputs
+/// free). Returns the successors this completion releases (none once the
+/// DAG has failed).
+fn stage_done(d: &mut DagRun, si: usize, node: usize, staging: &mut StagingState) -> Vec<usize> {
     d.state[si] = StageState::Settled;
     d.unsettled -= 1;
     if d.spec.stages[si].kind == StageKind::Checkpoint {
@@ -1031,127 +1398,21 @@ fn stage_completed(
     let delta = (d.spec.stage_out_bytes(si) as f64 - d.spec.stage_in_bytes(si) as f64) / GIB;
     d.live_gib += delta;
     staging.live[node] += delta;
-    if !d.failed {
-        for succ in d.spec.successors(si) {
-            if d.state[succ] != StageState::Held {
-                continue;
-            }
-            d.deps_left[succ] -= 1;
-            if d.deps_left[succ] == 0 {
-                *held -= 1;
-                d.state[succ] = StageState::Ready;
-                enqueue(queue, qindex, stage_entry(d, di, succ, now), now);
-            }
+    if d.failed {
+        return Vec::new();
+    }
+    let mut released = Vec::new();
+    for succ in d.spec.successors(si) {
+        if d.state[succ] != StageState::Held {
+            continue;
+        }
+        d.deps_left[succ] -= 1;
+        if d.deps_left[succ] == 0 {
+            d.state[succ] = StageState::Ready;
+            released.push(succ);
         }
     }
-    finish_dag_if_settled(d, staging, finished_clients);
-}
-
-/// Handle an interrupted attempt end to end: requeue it (stage jobs come
-/// back pinned home), revive it from a banked checkpoint snapshot, or
-/// fail it — and on a stage failure, fail the whole DAG and cascade its
-/// not-yet-running stages into failed records.
-#[allow(clippy::too_many_arguments)]
-fn settle_interrupted(
-    r: Running,
-    node: usize,
-    now: f64,
-    ckpt: &CheckpointSpec,
-    oracle: &Oracle,
-    queue: &mut VecDeque<Queued>,
-    qindex: &mut QueueIndex,
-    records: &mut Vec<JobRecord>,
-    dags: &mut [DagRun],
-    staging: &mut StagingState,
-    held: &mut usize,
-    finished_clients: &mut Vec<usize>,
-    makespan: &mut f64,
-) {
-    let client = r.client;
-    let dag = r.dag;
-    match interrupt(r, node, now, ckpt) {
-        Interrupted::Requeue(q) => {
-            if let Some((di, si)) = dag {
-                dags[di as usize].state[si] = StageState::Ready;
-            }
-            enqueue(queue, qindex, q, now);
-        }
-        Interrupted::Failed(mut rec) => {
-            *makespan = (*makespan).max(now);
-            let Some((di, si)) = dag else {
-                records.push(rec);
-                if let Some(c) = client {
-                    finished_clients.push(c);
-                }
-                return;
-            };
-            let d = &mut dags[di as usize];
-            if d.tokens > 0 && !d.failed {
-                // A completed checkpoint stage banked a revival: restart
-                // this stage fresh from the staged snapshot after one
-                // base backoff instead of failing the workflow.
-                d.tokens -= 1;
-                d.state[si] = StageState::Ready;
-                enqueue(
-                    queue,
-                    qindex,
-                    Queued {
-                        job: QueuedJob {
-                            id: rec.id,
-                            workflow: Arc::from(rec.workflow.as_str()),
-                            ranks: rec.ranks,
-                            arrival: rec.arrival,
-                            staging: 0.0,
-                            home: Some(node),
-                        },
-                        client: None,
-                        restarts: 0,
-                        resume: 0.0,
-                        eligible: now + ckpt.backoff_base,
-                        lost_work: rec.lost_work,
-                        ckpt_overhead: rec.ckpt_overhead,
-                        first_start: Some(rec.start),
-                        config: Some(rec.config),
-                        dag,
-                    },
-                    now,
-                );
-                return;
-            }
-            rec.dag = d.label.to_string();
-            rec.stage = d.spec.stages[si].name.clone();
-            rec.staging_gib = d.stage_staging_gib(si);
-            records.push(rec);
-            d.state[si] = StageState::Settled;
-            d.unsettled -= 1;
-            d.failed = true;
-            // Cascade: held and ready siblings settle as failed records;
-            // running siblings drain normally but release nothing new.
-            for sj in 0..d.spec.stages.len() {
-                match d.state[sj] {
-                    StageState::Held => {
-                        *held -= 1;
-                        records.push(failed_stage_record(d, sj, None, now, oracle));
-                        d.state[sj] = StageState::Settled;
-                        d.unsettled -= 1;
-                    }
-                    StageState::Ready => {
-                        let qi = queue
-                            .iter()
-                            .position(|q| q.dag == Some((di, sj)))
-                            .expect("ready stage is queued");
-                        qindex.on_remove(&queue[qi]);
-                        let q = queue.remove(qi).expect("index in range");
-                        records.push(failed_stage_record(d, sj, Some(&q), now, oracle));
-                        d.state[sj] = StageState::Settled;
-                        d.unsettled -= 1;
-                    }
-                    StageState::Running | StageState::Settled => {}
-                }
-            }
-            finish_dag_if_settled(d, staging, finished_clients);
-        }
-    }
+    released
 }
 
 /// Serve `config.arrivals` with `policy`, using up to `jobs` parallel
@@ -1197,609 +1458,685 @@ pub fn run_campaign_with_oracle(
     policy: &dyn Policy,
     oracle: &Oracle,
 ) -> Result<CampaignOutcome, ClusterError> {
-    validate(config)?;
-    let cores_per_socket = config.exec.node.cores_per_socket();
-    let ckpt = &config.checkpoint;
+    Campaign::new(config, policy, oracle)?.run()
+}
 
-    // Checkpoint tax: one image of `state_bytes` (written as
-    // `object_bytes` objects) into local PMEM every `interval`
-    // solo-seconds, charged through the same stack cost model the
-    // in-situ I/O pays — heavier software stacks tax checkpoints harder.
-    let ckpt_frac = if ckpt.interval > 0.0 {
-        let cost = config
-            .exec
-            .cost_override
-            .unwrap_or_else(|| config.exec.stack.cost_model());
-        let objects = ckpt.state_bytes.div_ceil(ckpt.object_bytes);
-        let latency = config
-            .exec
-            .profile
-            .latency(Direction::Write, Locality::Local);
-        cost.snapshot_sw_time(Direction::Write, objects, ckpt.object_bytes, latency) / ckpt.interval
-    } else {
-        0.0
-    };
-    let ckpt_mult = 1.0 + ckpt_frac;
-    let mut plan = FaultPlan::new(&config.faults, config.nodes);
+/// One campaign in flight: the state its event handlers share.
+/// [`Campaign::run`] advances `now` to the earliest pending event and
+/// hands the instant to the handlers in a fixed order — faults, job
+/// events, closed-loop resubmissions, arrivals — then re-prices the
+/// nodes whose membership changed and runs policy rounds.
+struct Campaign<'a> {
+    config: &'a CampaignConfig,
+    policy: &'a dyn Policy,
+    oracle: &'a Oracle,
+    cores_per_socket: usize,
+    /// Checkpoint multiplier `1 + f` on every job's wall time.
+    ckpt_mult: f64,
+    /// Share `f / (1 + f)` of wall time spent writing checkpoints.
+    ckpt_share: f64,
+    plan: FaultPlan,
+    /// `plan.peek_time()`, cached: a peek scans every node's streams.
+    next_fault: Option<f64>,
+    pending: VecDeque<Arrival>,
+    closed: Option<ClosedLoop>,
+    nodes: Vec<NodeState>,
+    /// `free_nodes[k]`: how many up nodes have exactly `k` cores free
+    /// per socket.
+    free_nodes: Vec<usize>,
+    /// Each node's next job event as `(time, node, generation)`.
+    events: BinaryHeap<Reverse<(OrdF64, usize, u64)>>,
+    /// Jobs resident on any node.
+    running: usize,
+    queue: Queue,
+    records: Vec<JobRecord>,
+    staging: StagingState,
+    dags: Vec<DagRun>,
+    /// Per node, the DAGs holding staging there, by ascending index.
+    homed: Vec<Vec<u32>>,
+    /// Nodes with a non-empty `homed` list.
+    hold_nodes: Vec<usize>,
+    /// Stages whose dependencies are unmet: invisible to policies, but
+    /// still work in flight.
+    held: usize,
+    /// Job ids are assigned in pop order: one per plain submission (so
+    /// plain streams keep id == arrival id) and one per stage of a DAG
+    /// submission, contiguous in stage order.
+    next_job_id: u64,
+    now: f64,
+    makespan: f64,
+    repricer: Repricer,
+    /// Policy-facing node views, kept for the whole campaign and
+    /// refreshed only when their node is dirty.
+    views: Vec<NodeView>,
+    dirty: Vec<bool>,
+    dirty_list: Vec<usize>,
+    /// Nodes that lost residents at this instant, re-priced before the
+    /// policy rounds.
+    changed: Vec<usize>,
+    /// Closed-loop clients whose submission settled at this instant.
+    finished_clients: Vec<usize>,
+    /// Mutation hook for the differential test: leave the survivors of a
+    /// completion at their stale slowdowns.
+    #[cfg(test)]
+    skip_completion_reprice: bool,
+}
 
-    let mut pending: VecDeque<Arrival> = VecDeque::new();
-    let mut closed: Option<ClosedLoop> = None;
-    match &config.arrivals {
-        ArrivalSpec::Closed {
-            clients,
-            think,
-            count,
-            mix,
-            dags,
-        } => {
-            let mut state = ClosedLoop {
-                think: *think,
-                mix: mix.clone(),
-                dags: dags.clone(),
-                rng: SplitMix64::new(config.seed),
-                budget: *count,
-                next_id: 0,
-            };
-            // Every client submits its first job at t = 0.
-            for c in 0..*clients {
-                if let Some(a) = state.submit(0.0, c) {
-                    pending.push_back(a);
-                }
-            }
-            closed = Some(state);
-        }
-        open => {
-            pending.extend(generate_open(open, config.seed).expect("open stream"));
-        }
+impl<'a> Campaign<'a> {
+    fn new(
+        config: &'a CampaignConfig,
+        policy: &'a dyn Policy,
+        oracle: &'a Oracle,
+    ) -> Result<Campaign<'a>, ClusterError> {
+        validate(config)?;
+        let cores_per_socket = config.exec.node.cores_per_socket();
+        let ckpt_frac = checkpoint_tax(config);
+        let plan = FaultPlan::new(&config.faults, config.nodes);
+        let (pending, closed) = arrival_source(config);
+        let mut free_nodes = vec![0; cores_per_socket + 1];
+        free_nodes[cores_per_socket] = config.nodes;
+        Ok(Campaign {
+            config,
+            policy,
+            oracle,
+            cores_per_socket,
+            ckpt_mult: 1.0 + ckpt_frac,
+            ckpt_share: ckpt_frac / (1.0 + ckpt_frac),
+            next_fault: plan.peek_time(),
+            plan,
+            pending,
+            closed,
+            nodes: (0..config.nodes)
+                .map(|_| NodeState {
+                    running: Vec::new(),
+                    busy_core_secs: 0.0,
+                    up: true,
+                    degrade: 1.0,
+                    used: 0,
+                    generation: 0,
+                })
+                .collect(),
+            free_nodes,
+            events: BinaryHeap::new(),
+            running: 0,
+            queue: Queue::new(),
+            records: Vec::new(),
+            staging: StagingState::new(config.staging_gib, config.nodes),
+            dags: Vec::new(),
+            homed: vec![Vec::new(); config.nodes],
+            hold_nodes: Vec::new(),
+            held: 0,
+            next_job_id: 0,
+            now: 0.0,
+            makespan: 0.0,
+            repricer: Repricer::new(config.full_reprice),
+            views: (0..config.nodes)
+                .map(|id| NodeView {
+                    id,
+                    cores_per_socket,
+                    up: true,
+                    residents: Vec::new(),
+                    staging_capacity: config.staging_gib,
+                    staging_reserved: 0.0,
+                    staged_gib: 0.0,
+                    staging_holds: Vec::new(),
+                })
+                .collect(),
+            dirty: vec![false; config.nodes],
+            dirty_list: Vec::new(),
+            changed: Vec::new(),
+            finished_clients: Vec::new(),
+            #[cfg(test)]
+            skip_completion_reprice: false,
+        })
     }
 
-    let mut nodes: Vec<NodeState> = (0..config.nodes)
-        .map(|_| NodeState {
-            running: Vec::new(),
-            busy_core_secs: 0.0,
-            up: true,
-            degrade: 1.0,
-        })
-        .collect();
-    let mut queue: VecDeque<Queued> = VecDeque::new();
-    let mut qindex = QueueIndex::new();
-    let mut records: Vec<JobRecord> = Vec::new();
-    let mut staging = StagingState::new(config.staging_gib, config.nodes);
-    let mut dags: Vec<DagRun> = Vec::new();
-    // Stages whose dependencies are unmet: invisible to policies, but
-    // still work in flight.
-    let mut held: usize = 0;
-    // Job ids are assigned in pop order: one per plain submission (so
-    // plain streams keep id == arrival id) and one per stage of a DAG
-    // submission, contiguous in stage order.
-    let mut next_job_id: u64 = 0;
-    let mut now = 0.0f64;
-    let mut makespan = 0.0f64;
-    let mut repricer = Repricer::new(config.full_reprice);
-    // Node-view scratch, alive for the whole campaign and refreshed in
-    // place: each node keeps its `residents` allocation across rounds,
-    // so a consult costs field writes, not a thousand fresh `Vec`s.
-    // (The queue view is still borrowed per round — it holds references
-    // into `queue`, which the loop mutates between rounds.)
-    let mut node_views: Vec<NodeView> = (0..config.nodes)
-        .map(|id| NodeView {
-            id,
-            cores_per_socket,
-            up: true,
-            residents: Vec::new(),
-            staging_capacity: config.staging_gib,
-            staging_reserved: 0.0,
-            staged_gib: 0.0,
-            staging_holds: Vec::new(),
-        })
-        .collect();
-
-    loop {
+    fn run(mut self) -> Result<CampaignOutcome, ClusterError> {
         // Stop once nothing is in flight anywhere; the fault plan is an
         // infinite stream, so it only counts as an event source while
         // there is work it could affect.
-        let work_remains = !pending.is_empty()
-            || !queue.is_empty()
-            || held > 0
-            || nodes.iter().any(|n| !n.running.is_empty());
-        if !work_remains {
-            break;
+        while !self.pending.is_empty()
+            || !self.queue.is_empty()
+            || self.held > 0
+            || self.running > 0
+        {
+            let Some(t) = self.next_event() else {
+                // Work remains but no event can release it: reported
+                // below as stuck jobs.
+                break;
+            };
+            debug_assert!(t >= self.now, "time went backwards: {t} < {}", self.now);
+            self.now = t;
+            self.instant()?;
         }
+        self.outcome()
+    }
 
-        // Next event: the earliest of (arrival, per-job completion or
-        // self-failure on an up node, backoff expiry, scheduled fault).
-        let next_arrival = pending.front().map(|a| a.time);
-        let next_job_event = nodes
-            .iter()
-            .filter(|n| n.up)
-            .flat_map(|n| {
-                n.running
-                    .iter()
-                    .map(move |r| r.projected_event(now, n.degrade, ckpt_mult))
-            })
-            .min_by(f64::total_cmp);
-        let next_eligible = qindex.next_expiry(now);
-        debug_assert_eq!(
-            next_eligible.map(f64::to_bits),
-            next_backoff_expiry(&queue, now).map(f64::to_bits),
-            "backoff index diverged from the reference scan"
-        );
-        let next_fault = plan.peek_time();
-        let Some(t) = [next_arrival, next_job_event, next_eligible, next_fault]
-            .into_iter()
-            .flatten()
-            .min_by(f64::total_cmp)
-        else {
-            // Work remains but no event can release it: the post-loop
-            // queue check reports the stuck jobs.
-            break;
-        };
-        debug_assert!(t >= now - 1e-9, "time went backwards: {t} < {now}");
-        let t = t.max(now);
-        let dt = (t - now).max(0.0);
+    /// The earliest pending event: an arrival, a job event, a backoff
+    /// expiry or a scheduled fault.
+    fn next_event(&mut self) -> Option<f64> {
+        while let Some(&Reverse((_, ni, generation))) = self.events.peek() {
+            if generation == self.nodes[ni].generation {
+                break;
+            }
+            self.events.pop();
+        }
+        let job = self.events.peek().map(|Reverse((t, _, _))| t.0);
+        [
+            self.pending.front().map(|a| a.time),
+            job,
+            self.queue.next_expiry(self.now),
+            self.next_fault,
+        ]
+        .into_iter()
+        .flatten()
+        .min_by(f64::total_cmp)
+    }
 
-        // Advance running work and busy time to t. Rates are piecewise
-        // constant on [now, t] because every rate change (membership,
-        // degrade window, crash) is itself an event candidate above.
-        // A zero-length step adds exactly +0.0 everywhere (progress and
-        // busy time are never -0.0), so skipping it is bit-identical.
-        if dt > 0.0 {
-            for node in &mut nodes {
-                if !node.up {
-                    continue;
-                }
-                let env_mult = node.degrade * ckpt_mult;
-                for r in &mut node.running {
-                    r.progress += dt / (r.slowdown * env_mult);
-                    // Of the dt wall-seconds, the checkpoint writes claim
-                    // the f/(1+f) share (both numerator and denominator
-                    // stretch with slowdown and degrade alike).
-                    r.ckpt_overhead += dt * ckpt_frac / ckpt_mult;
-                    node.busy_core_secs += 2.0 * r.ranks as f64 * dt;
-                }
+    /// Handle everything due at `now` — an event is due exactly when its
+    /// stored time is `<= now` — then re-price and schedule.
+    fn instant(&mut self) -> Result<(), ClusterError> {
+        while self.next_fault.is_some_and(|t| t <= self.now) {
+            let e = self.plan.pop().expect("peeked event exists");
+            self.next_fault = self.plan.peek_time();
+            self.on_fault(e);
+        }
+        // Node by node in id order (the heap's tie-break), then by
+        // residence order within a node.
+        while let Some(ni) = self.pop_due_node() {
+            self.on_job_events(ni);
+        }
+        self.finished_clients.sort_unstable();
+        if let Some(closed) = self.closed.as_mut() {
+            for &c in &self.finished_clients {
+                closed.resubmit(self.now, c, &mut self.pending);
             }
         }
-        now = t;
-
-        let mut changed: Vec<usize> = Vec::new();
-        let mut finished_clients: Vec<usize> = Vec::new();
-
-        // Scheduled faults due at t, in the plan's deterministic order.
-        while plan.peek_time().is_some_and(|ft| ft <= now + 1e-9) {
-            let e = plan.pop().expect("peeked event exists");
-            match e.kind {
-                FaultEventKind::Crash => {
-                    let node = &mut nodes[e.node];
-                    node.up = false;
-                    // Evacuate every resident back to its last checkpoint.
-                    let evacuated: Vec<Running> = node.running.drain(..).collect();
-                    for r in evacuated {
-                        settle_interrupted(
-                            r,
-                            e.node,
-                            now,
-                            ckpt,
-                            oracle,
-                            &mut queue,
-                            &mut qindex,
-                            &mut records,
-                            &mut dags,
-                            &mut staging,
-                            &mut held,
-                            &mut finished_clients,
-                            &mut makespan,
-                        );
-                    }
-                }
-                FaultEventKind::Repair => nodes[e.node].up = true,
-                FaultEventKind::DegradeStart => {
-                    nodes[e.node].degrade = config.faults.degrade_factor
-                }
-                FaultEventKind::DegradeEnd => nodes[e.node].degrade = 1.0,
-            }
+        self.finished_clients.clear();
+        while self.pending.front().is_some_and(|a| a.time <= self.now) {
+            let a = self.pending.pop_front().expect("front exists");
+            self.on_arrival(a)?;
         }
-
-        // Per-job events at t (tolerance for float drift), deterministic
-        // order by (node, id): completions, or the attempt's own failure.
-        for (ni, node) in nodes.iter_mut().enumerate() {
-            if !node.up {
+        for i in 0..self.changed.len() {
+            let ni = self.changed[i];
+            #[cfg(test)]
+            if self.skip_completion_reprice {
+                self.push_event(ni);
                 continue;
             }
-            let mut i = 0;
-            while i < node.running.len() {
-                let due =
-                    node.running[i].projected_event(now, node.degrade, ckpt_mult) <= now + 1e-9;
-                if !due {
-                    i += 1;
-                    continue;
-                }
-                let r = node.running.remove(i);
-                if !changed.contains(&ni) {
-                    changed.push(ni);
-                }
-                if r.fail_at.is_some() {
-                    // The attempt dies of its own cause (fail_at < solo).
-                    settle_interrupted(
-                        r,
-                        ni,
-                        now,
-                        ckpt,
-                        oracle,
-                        &mut queue,
-                        &mut qindex,
-                        &mut records,
-                        &mut dags,
-                        &mut staging,
-                        &mut held,
-                        &mut finished_clients,
-                        &mut makespan,
-                    );
-                } else {
-                    makespan = makespan.max(now);
-                    if let Some(c) = r.client {
-                        finished_clients.push(c);
-                    }
-                    let (dag_label, stage_name, staging_gib) = match r.dag {
-                        Some((di, si)) => {
-                            let d = &dags[di as usize];
-                            (
-                                d.label.to_string(),
-                                d.spec.stages[si].name.clone(),
-                                d.stage_staging_gib(si),
-                            )
-                        }
-                        None => (String::new(), String::new(), 0.0),
-                    };
-                    records.push(JobRecord {
-                        id: r.id,
-                        workflow: r.workflow.to_string(),
-                        ranks: r.ranks,
-                        config: r.config,
-                        node: ni,
-                        arrival: r.arrival,
-                        start: r.first_start,
-                        finish: now,
-                        solo: r.solo,
-                        restarts: r.restarts,
-                        lost_work: r.lost_work,
-                        ckpt_overhead: r.ckpt_overhead,
-                        completed: true,
-                        dag: dag_label,
-                        stage: stage_name,
-                        staging_gib,
-                    });
-                    if let Some((di, si)) = r.dag {
-                        stage_completed(
-                            di,
-                            si,
-                            ni,
-                            now,
-                            &mut queue,
-                            &mut qindex,
-                            &mut dags,
-                            &mut staging,
-                            &mut held,
-                            &mut finished_clients,
-                        );
-                    }
-                }
-            }
+            self.reprice(ni)?;
         }
-        // Closed loop: each finished submission (completed or failed)
-        // triggers its client's next think.
-        if let Some(state) = closed.as_mut() {
-            finished_clients.sort_unstable();
-            for c in finished_clients {
-                if let Some(a) = state.submit(now + state.think, c) {
-                    // Insert keeping pending sorted by (time, id).
-                    let at = pending
-                        .iter()
-                        .position(|p| (p.time, p.id) > (a.time, a.id))
-                        .unwrap_or(pending.len());
-                    pending.insert(at, a);
-                }
-            }
-        }
+        self.changed.clear();
+        self.policy_rounds()
+    }
 
-        // Arrivals at t. A plain submission takes one job id; a DAG
-        // submission expands into one stage job per graph node (ids
-        // contiguous in stage order), sources queued now and the rest
-        // held until their dependencies complete.
-        while pending.front().is_some_and(|a| a.time <= now + 1e-9) {
-            let a = pending.pop_front().expect("front exists");
-            if let Some(spec) = a.dag {
-                let di = dags.len() as u32;
-                let n = spec.stages.len();
-                let extra_solo: Vec<f64> = (0..n)
-                    .map(|i| stage_io_seconds(&spec, i, &config.exec))
-                    .collect();
-                let est_solo: Vec<f64> = spec
-                    .stages
-                    .iter()
-                    .zip(&extra_solo)
-                    .map(|(st, extra)| {
-                        let name = st.family.name();
-                        oracle.solo_runtime(name, st.ranks, oracle.best_config(name, st.ranks))
-                            + extra
-                    })
-                    .collect();
-                let reservation = spec.staging_gib();
-                if reservation > staging.capacity + 1e-9 {
-                    return Err(ClusterError::Config(format!(
-                        "DAG {} needs {reservation:.1} GiB staging but nodes hold {:.1}",
-                        a.workflow, staging.capacity
-                    )));
+    /// Pop the next node with a job event due at `now`, dropping stale
+    /// heap entries on the way.
+    fn pop_due_node(&mut self) -> Option<usize> {
+        while let Some(&Reverse((OrdF64(t), ni, generation))) = self.events.peek() {
+            if t > self.now {
+                return None;
+            }
+            self.events.pop();
+            if generation == self.nodes[ni].generation {
+                return Some(ni);
+            }
+        }
+        None
+    }
+
+    fn on_fault(&mut self, e: FaultEvent) {
+        let ni = e.node;
+        match e.kind {
+            FaultEventKind::Crash => {
+                if self.nodes[ni].up {
+                    self.free_nodes[self.cores_per_socket - self.nodes[ni].used] -= 1;
+                    self.nodes[ni].up = false;
                 }
-                let deps_left: Vec<usize> = (0..n).map(|i| spec.predecessors(i).len()).collect();
-                let state: Vec<StageState> = deps_left
-                    .iter()
-                    .map(|&dl| {
-                        if dl == 0 {
-                            StageState::Ready
-                        } else {
-                            StageState::Held
-                        }
-                    })
-                    .collect();
-                held += state.iter().filter(|&&st| st == StageState::Held).count();
-                let d = DagRun {
-                    label: Arc::from(a.workflow.as_str()),
-                    spec,
-                    arrival: a.time,
-                    client: a.client,
-                    first_stage_id: next_job_id,
-                    deps_left,
-                    state,
-                    unsettled: n,
-                    est_solo,
-                    extra_solo,
-                    reservation,
-                    home: None,
-                    live_gib: 0.0,
-                    tokens: 0,
-                    failed: false,
-                };
-                next_job_id += n as u64;
-                for si in 0..n {
-                    if d.state[si] == StageState::Ready {
-                        enqueue(&mut queue, &mut qindex, stage_entry(&d, di, si, now), now);
-                    }
+                // Evacuate every resident back to its last checkpoint.
+                while !self.nodes[ni].running.is_empty() {
+                    let r = self.take_resident(ni, 0);
+                    self.settle_interrupted(r, ni);
                 }
-                dags.push(d);
+                self.nodes[ni].generation += 1;
+            }
+            FaultEventKind::Repair => {
+                if !self.nodes[ni].up {
+                    self.nodes[ni].up = true;
+                    self.free_nodes[self.cores_per_socket - self.nodes[ni].used] += 1;
+                }
+            }
+            FaultEventKind::DegradeStart => self.set_degrade(ni, self.config.faults.degrade_factor),
+            FaultEventKind::DegradeEnd => self.set_degrade(ni, 1.0),
+        }
+        self.mark_dirty(ni);
+    }
+
+    /// A degradation window opens or closes on node `ni`: every
+    /// resident's rate moves, so all are banked and re-timed.
+    fn set_degrade(&mut self, ni: usize, degrade: f64) {
+        let n = &mut self.nodes[ni];
+        for r in &mut n.running {
+            let before = r.wall_mult(n.degrade, self.ckpt_mult);
+            r.bank(self.now, before, self.ckpt_share);
+            let after = r.wall_mult(degrade, self.ckpt_mult);
+            r.retime(after);
+        }
+        n.degrade = degrade;
+        self.push_event(ni);
+    }
+
+    /// Settle every resident of node `ni` whose event is due: a
+    /// completion, or the attempt's own failure.
+    fn on_job_events(&mut self, ni: usize) {
+        let mut i = 0;
+        while i < self.nodes[ni].running.len() {
+            if self.nodes[ni].running[i].fin > self.now {
+                i += 1;
+                continue;
+            }
+            let r = self.take_resident(ni, i);
+            if r.fail_at.is_some() {
+                // The attempt dies of its own cause (fail_at < solo).
+                self.settle_interrupted(r, ni);
             } else {
-                let id = next_job_id;
-                next_job_id += 1;
-                enqueue(
-                    &mut queue,
-                    &mut qindex,
-                    Queued {
-                        job: QueuedJob {
-                            id,
-                            workflow: a.workflow.into(),
-                            ranks: a.ranks,
-                            arrival: a.time,
-                            staging: 0.0,
-                            home: None,
-                        },
-                        client: a.client,
-                        restarts: 0,
-                        resume: 0.0,
-                        eligible: a.time,
-                        lost_work: 0.0,
-                        ckpt_overhead: 0.0,
-                        first_start: None,
-                        config: None,
-                        dag: None,
-                    },
-                    now,
-                );
+                self.makespan = self.makespan.max(self.now);
+                if let Some(c) = r.client {
+                    self.finished_clients.push(c);
+                }
+                self.records
+                    .push(completed_record(&r, ni, self.now, &self.dags));
+                if let Some((di, si)) = r.dag {
+                    self.stage_completed(di, si, ni);
+                }
             }
         }
+        self.changed.push(ni);
+    }
 
-        for &ni in &changed {
-            repricer.reprice(&mut nodes[ni], oracle)?;
+    /// Remove resident `i` of node `ni`, banking its progress and its
+    /// busy core-seconds up to `now`.
+    fn take_resident(&mut self, ni: usize, i: usize) -> Running {
+        let n = &mut self.nodes[ni];
+        let mut r = n.running.remove(i);
+        r.bank(
+            self.now,
+            r.wall_mult(n.degrade, self.ckpt_mult),
+            self.ckpt_share,
+        );
+        n.busy_core_secs += 2.0 * r.ranks as f64 * (self.now - r.placed);
+        let used = n.used - r.ranks;
+        self.set_used(ni, used);
+        self.running -= 1;
+        self.mark_dirty(ni);
+        r
+    }
+
+    /// Set node `ni`'s used cores, keeping the free-core histogram exact.
+    fn set_used(&mut self, ni: usize, used: usize) {
+        let n = &mut self.nodes[ni];
+        if n.up {
+            self.free_nodes[self.cores_per_socket - n.used] -= 1;
+            self.free_nodes[self.cores_per_socket - used] += 1;
         }
+        n.used = used;
+    }
 
-        // Policy rounds: consult, apply what fits, re-price, repeat until
-        // the policy places nothing more (each round shrinks the queue, so
-        // this terminates). Policies only see jobs past their backoff and
-        // the up/down state of every node.
-        // Capacity precheck per round: when even the narrowest eligible
-        // job cannot fit the freest up node, no capacity-respecting
-        // policy can place anything — skip building the queue and node
-        // snapshots and consulting the policy at all. (A placement that
-        // does not fit would be skipped below and the round would end
-        // with `placed_any == false` anyway, so the outcome is identical
-        // for any deterministic policy.) Running before the snapshot
-        // build matters: on a backlogged campaign this turns a
-        // head-of-line-blocked round into one integer scan instead of an
-        // O(queue) snapshot allocation. `None` means nothing is past its
-        // backoff — no round to run. The min comes from the rank multiset
-        // whenever no entry is inside its backoff (every queued entry is
-        // eligible, so the unfiltered multiset is exact — the whole of a
-        // fault-free campaign); otherwise from the reference scan.
-        let mut views_fresh = false;
-        let mut touched: Vec<usize> = Vec::new();
-        while let Some(min_ranks) = if qindex.has_backoff(now) {
-            queue
-                .iter()
-                .filter(|q| backoff_expired(q, now))
-                .map(|q| q.job.ranks)
-                .min()
-        } else {
-            debug_assert_eq!(
-                qindex.min_ranks(),
-                queue.iter().map(|q| q.job.ranks).min(),
-                "rank multiset diverged from the queue"
-            );
-            qindex.min_ranks()
-        } {
-            let max_free = nodes
-                .iter()
-                .filter(|n| n.up)
-                .map(|n| {
-                    cores_per_socket
-                        .saturating_sub(n.running.iter().map(|r| r.ranks).sum::<usize>())
-                })
-                .max()
-                .unwrap_or(0);
-            if min_ranks > max_free {
-                break;
+    /// The most cores free on any up node.
+    fn max_free(&self) -> usize {
+        self.free_nodes.iter().rposition(|&k| k > 0).unwrap_or(0)
+    }
+
+    /// Stage `si` of DAG `di` completed on `node`: release ready
+    /// successors into the queue at the DAG's arrival priority, and close
+    /// out the DAG when this was the last stage.
+    fn stage_completed(&mut self, di: u32, si: usize, node: usize) {
+        let d = &mut self.dags[di as usize];
+        for succ in stage_done(d, si, node, &mut self.staging) {
+            self.held -= 1;
+            self.queue
+                .push(stage_entry(d, di, succ, self.now), self.now);
+        }
+        self.finish_dag_if_settled(di);
+    }
+
+    fn finish_dag_if_settled(&mut self, di: u32) {
+        let d = &mut self.dags[di as usize];
+        if let Some(h) = finish_dag_if_settled(d, &mut self.staging, &mut self.finished_clients) {
+            self.homed[h].retain(|&x| x != di);
+            if self.homed[h].is_empty() {
+                self.hold_nodes.retain(|&n| n != h);
             }
-            // Backoff pending: the view is the eligible subset. None
-            // pending (all of a fault-free campaign): every queued entry
-            // is past its backoff, so the filter is the identity — skip
-            // the predicate and collect with an exact size hint.
-            let queue_view: Vec<&QueuedJob> = if qindex.has_backoff(now) {
-                queue
-                    .iter()
-                    .filter(|q| backoff_expired(q, now))
-                    .map(|q| &q.job)
-                    .collect()
-            } else {
-                debug_assert!(queue.iter().all(|q| backoff_expired(q, now)));
-                queue.iter().map(|q| &q.job).collect()
+            self.mark_dirty(h);
+        }
+    }
+
+    /// Handle an interrupted attempt end to end: requeue it (stage jobs
+    /// come back pinned home), revive it from a banked checkpoint
+    /// snapshot, or fail it — and on a stage failure, fail the whole DAG
+    /// and cascade its not-yet-running stages into failed records.
+    fn settle_interrupted(&mut self, r: Running, node: usize) {
+        let now = self.now;
+        let client = r.client;
+        let dag = r.dag;
+        let mut rec = match interrupt(r, node, now, &self.config.checkpoint) {
+            Interrupted::Requeue(q) => {
+                if let Some((di, si)) = dag {
+                    self.dags[di as usize].state[si] = StageState::Ready;
+                }
+                self.queue.push(q, now);
+                return;
+            }
+            Interrupted::Failed(rec) => rec,
+        };
+        self.makespan = self.makespan.max(now);
+        let Some((di, si)) = dag else {
+            self.records.push(rec);
+            if let Some(c) = client {
+                self.finished_clients.push(c);
+            }
+            return;
+        };
+        let d = &mut self.dags[di as usize];
+        if d.tokens > 0 && !d.failed {
+            // A completed checkpoint stage banked a revival: restart this
+            // stage fresh after one base backoff instead of failing the
+            // workflow.
+            d.tokens -= 1;
+            d.state[si] = StageState::Ready;
+            let eligible = now + self.config.checkpoint.backoff_base;
+            self.queue
+                .push(revived_entry(&rec, node, (di, si), eligible), now);
+            return;
+        }
+        rec.dag = d.label.to_string();
+        rec.stage = d.spec.stages[si].name.clone();
+        rec.staging_gib = d.stage_staging_gib(si);
+        self.records.push(rec);
+        d.state[si] = StageState::Settled;
+        d.unsettled -= 1;
+        d.failed = true;
+        // Cascade: held and ready siblings settle as failed records;
+        // running siblings drain normally but release nothing new.
+        for sj in 0..d.state.len() {
+            let q = match d.state[sj] {
+                StageState::Held => {
+                    self.held -= 1;
+                    None
+                }
+                StageState::Ready => Some(
+                    self.queue
+                        .remove(d.first_stage_id + sj as u64, now)
+                        .expect("ready stage is queued"),
+                ),
+                StageState::Running | StageState::Settled => continue,
             };
-            // First round at this instant: every view is stale (the
-            // projections moved with `now`, faults may have flipped
-            // `up`). Later rounds: only nodes the previous round placed
-            // on (and re-priced) changed — refresh exactly those.
-            if views_fresh {
-                for &ni in &touched {
-                    refresh_view(
-                        &mut node_views[ni],
-                        &nodes[ni],
-                        now,
-                        ckpt_mult,
-                        &staging,
-                        &dags,
-                    );
-                }
+            self.records
+                .push(failed_stage_record(d, sj, q.as_ref(), now, self.oracle));
+            d.state[sj] = StageState::Settled;
+            d.unsettled -= 1;
+        }
+        self.finish_dag_if_settled(di);
+    }
+
+    /// A submission arrives. A plain one takes one job id; a DAG expands
+    /// into one stage job per graph node, sources queued now and the
+    /// rest held until their dependencies complete.
+    fn on_arrival(&mut self, a: Arrival) -> Result<(), ClusterError> {
+        let now = self.now;
+        if a.dag.is_none() {
+            let id = self.next_job_id;
+            self.next_job_id += 1;
+            self.queue.push(plain_entry(a, id), now);
+            return Ok(());
+        }
+        let di = self.dags.len() as u32;
+        let d = DagRun::expand(a, self.next_job_id, self.config, self.oracle)?;
+        self.next_job_id += d.state.len() as u64;
+        for (si, st) in d.state.iter().enumerate() {
+            if *st == StageState::Ready {
+                self.queue.push(stage_entry(&d, di, si, now), now);
             } else {
-                for (view, n) in node_views.iter_mut().zip(nodes.iter()) {
-                    refresh_view(view, n, now, ckpt_mult, &staging, &dags);
-                }
-                views_fresh = true;
+                self.held += 1;
             }
-            let batch = policy.schedule(now, &queue_view, &node_views, oracle)?;
-            if batch.is_empty() {
+        }
+        self.dags.push(d);
+        Ok(())
+    }
+
+    /// Re-price node `ni` after a membership change. Only residents
+    /// whose slowdown moved, or that were just placed, are banked and
+    /// re-timed: the others keep their stored event times bit for bit.
+    fn reprice(&mut self, ni: usize) -> Result<(), ClusterError> {
+        let n = &mut self.nodes[ni];
+        let slowdowns = self.repricer.reprice(&n.running, self.oracle)?;
+        let degrade = n.degrade;
+        for (r, &s) in n.running.iter_mut().zip(slowdowns) {
+            if s.to_bits() != r.slowdown.to_bits() || r.fin == f64::INFINITY {
+                r.bank(
+                    self.now,
+                    r.wall_mult(degrade, self.ckpt_mult),
+                    self.ckpt_share,
+                );
+                r.slowdown = s;
+                r.retime(r.wall_mult(degrade, self.ckpt_mult));
+            }
+        }
+        self.push_event(ni);
+        Ok(())
+    }
+
+    /// Re-key node `ni` in the event heap after its residents were
+    /// re-timed; its older entries go stale.
+    fn push_event(&mut self, ni: usize) {
+        let n = &mut self.nodes[ni];
+        n.generation += 1;
+        if let Some(fin) = n.running.iter().map(|r| r.fin).min_by(f64::total_cmp) {
+            self.events.push(Reverse((OrdF64(fin), ni, n.generation)));
+        }
+        self.mark_dirty(ni);
+    }
+
+    fn mark_dirty(&mut self, ni: usize) {
+        if !self.dirty[ni] {
+            self.dirty[ni] = true;
+            self.dirty_list.push(ni);
+        }
+    }
+
+    fn refresh_views(&mut self) {
+        for ni in self.dirty_list.drain(..) {
+            self.dirty[ni] = false;
+            refresh_view(
+                &mut self.views[ni],
+                &self.nodes[ni],
+                &self.staging,
+                &self.homed[ni],
+                &self.dags,
+                self.now,
+            );
+        }
+    }
+
+    /// Policy rounds: consult, apply what fits, re-price, repeat until
+    /// the policy places nothing more (each round shrinks the queue, so
+    /// this terminates). Policies only see jobs past their backoff.
+    ///
+    /// Capacity precheck per round: when even the narrowest eligible job
+    /// cannot fit the freest up node, no capacity-respecting policy can
+    /// place anything — skip the snapshots and the consult. (A placement
+    /// that does not fit would be skipped anyway, so the outcome is
+    /// identical for any deterministic policy.)
+    fn policy_rounds(&mut self) -> Result<(), ClusterError> {
+        // Staging-hold release estimates are relative to `now`.
+        for i in 0..self.hold_nodes.len() {
+            self.mark_dirty(self.hold_nodes[i]);
+        }
+        let mut touched: Vec<usize> = Vec::new();
+        while let Some(min_ranks) = self.queue.min_eligible_ranks(self.now) {
+            if min_ranks > self.max_free() {
                 break;
             }
-            let mut placed_any = false;
+            self.refresh_views();
+            let queue_view = self.queue.view(self.now);
+            let batch = self
+                .policy
+                .schedule(self.now, &queue_view, &self.views, self.oracle)?;
             touched.clear();
             for p in batch {
-                let Some(qi) = queue.iter().position(|q| q.job.id == p.job) else {
-                    return Err(ClusterError::Config(format!(
-                        "policy {} placed unknown job {}",
-                        policy.name(),
-                        p.job
-                    )));
-                };
-                let used: usize = nodes[p.node].running.iter().map(|r| r.ranks).sum();
-                if !nodes[p.node].up
-                    || used + queue[qi].job.ranks > cores_per_socket
-                    || queue[qi].job.home.is_some_and(|h| h != p.node)
-                    || staging.reserved[p.node] + queue[qi].job.staging > staging.capacity + 1e-9
-                {
-                    // Batch raced its own earlier placements (or another
-                    // stage homed the DAG elsewhere); re-consult.
-                    continue;
-                }
-                qindex.on_remove(&queue[qi]);
-                let q = queue.remove(qi).expect("placement index in range");
-                if let Some((di, si)) = q.dag {
-                    let d = &mut dags[di as usize];
-                    if d.home.is_none() {
-                        // First placement homes the DAG: reserve its
-                        // whole staging footprint here for its lifetime
-                        // and pin every queued sibling to this node.
-                        d.home = Some(p.node);
-                        staging.reserve(p.node, d.reservation);
-                        for o in queue.iter_mut() {
-                            if o.dag.is_some_and(|(odi, _)| odi == di) {
-                                o.job.home = Some(p.node);
-                                o.job.staging = 0.0;
-                            }
-                        }
-                    }
-                    d.state[si] = StageState::Running;
-                }
-                // A restarted job keeps the configuration its checkpoint
-                // was written under, whatever the policy prefers now.
-                let cfg = q.config.unwrap_or(p.config);
-                let tenant = repricer
-                    .prices
-                    .intern(oracle, &q.job.workflow, q.job.ranks, cfg);
-                // A stage additionally pays its staged I/O (edge volumes
-                // through the PMEM snapshot path) on top of the oracle
-                // solo of its workflow.
-                let solo = repricer.prices.solo(tenant)
-                    + q.dag
-                        .map_or(0.0, |(di, si)| dags[di as usize].extra_solo[si]);
-                let fail_at = plan
-                    .job_failure(q.job.id, q.restarts as u64)
-                    .map(|frac| q.resume + frac * (solo - q.resume))
-                    .filter(|&fa| fa > q.resume && fa < solo - 1e-9);
-                nodes[p.node].running.push(Running {
-                    id: q.job.id,
-                    workflow: q.job.workflow,
-                    ranks: q.job.ranks,
-                    config: cfg,
-                    tenant,
-                    arrival: q.job.arrival,
-                    first_start: q.first_start.unwrap_or(now),
-                    client: q.client,
-                    solo,
-                    progress: q.resume,
-                    restarts: q.restarts,
-                    lost_work: q.lost_work,
-                    ckpt_overhead: q.ckpt_overhead,
-                    slowdown: 1.0,
-                    fail_at,
-                    dag: q.dag,
-                });
-                if !touched.contains(&p.node) {
+                if self.place(p)? && !touched.contains(&p.node) {
                     touched.push(p.node);
                 }
-                placed_any = true;
             }
-            for &ni in &touched {
-                repricer.reprice(&mut nodes[ni], oracle)?;
-            }
-            if !placed_any {
+            if touched.is_empty() {
                 break;
             }
+            for &ni in &touched {
+                self.reprice(ni)?;
+            }
         }
+        Ok(())
     }
 
-    if !queue.is_empty() || held > 0 {
-        return Err(ClusterError::Config(format!(
-            "campaign drained with {} jobs still queued and {held} stages held (policy {})",
-            queue.len(),
-            policy.name()
-        )));
+    /// Apply one placement of a policy batch. `Ok(false)`: the batch
+    /// raced its own earlier placements (or another stage homed the DAG
+    /// elsewhere), so it no longer fits; the next round re-consults.
+    fn place(&mut self, p: Placement) -> Result<bool, ClusterError> {
+        let now = self.now;
+        let Some(q) = self.queue.get(p.job) else {
+            return Err(ClusterError::Config(format!(
+                "policy {} placed unknown job {}",
+                self.policy.name(),
+                p.job
+            )));
+        };
+        let n = &self.nodes[p.node];
+        if !n.up
+            || n.used + q.job.ranks > self.cores_per_socket
+            || q.job.home.is_some_and(|h| h != p.node)
+            || self.staging.reserved[p.node] + q.job.staging > self.staging.capacity + 1e-9
+        {
+            return Ok(false);
+        }
+        let q = self.queue.remove(p.job, now).expect("located above");
+        if let Some((di, si)) = q.dag {
+            let d = &mut self.dags[di as usize];
+            d.state[si] = StageState::Running;
+            if d.home.is_none() {
+                // First placement homes the DAG: reserve its whole
+                // staging footprint here for its lifetime and pin every
+                // queued sibling to this node.
+                d.home = Some(p.node);
+                self.staging.reserve(p.node, d.reservation);
+                for sj in 0..d.state.len() {
+                    if d.state[sj] == StageState::Ready {
+                        let o = self
+                            .queue
+                            .get_mut(d.first_stage_id + sj as u64)
+                            .expect("ready stage is queued");
+                        o.job.home = Some(p.node);
+                        o.job.staging = 0.0;
+                    }
+                }
+                let homed = &mut self.homed[p.node];
+                if homed.is_empty() {
+                    self.hold_nodes.push(p.node);
+                }
+                homed.insert(homed.partition_point(|&x| x < di), di);
+            }
+        }
+        // A restarted job keeps the configuration its checkpoint was
+        // written under, whatever the policy prefers now.
+        let cfg = q.config.unwrap_or(p.config);
+        let tenant = self
+            .repricer
+            .prices
+            .intern(self.oracle, &q.job.workflow, q.job.ranks, cfg);
+        // A stage additionally pays its staged I/O (edge volumes through
+        // the PMEM snapshot path) on top of the oracle solo of its
+        // workflow.
+        let solo = self.repricer.prices.solo(tenant)
+            + q.dag
+                .map_or(0.0, |(di, si)| self.dags[di as usize].extra_solo[si]);
+        let fail_at = fail_point(&self.plan, &q, solo);
+        let used = self.nodes[p.node].used + q.job.ranks;
+        self.nodes[p.node].running.push(Running {
+            id: q.job.id,
+            workflow: q.job.workflow,
+            ranks: q.job.ranks,
+            config: cfg,
+            tenant,
+            arrival: q.job.arrival,
+            first_start: q.first_start.unwrap_or(now),
+            client: q.client,
+            solo,
+            progress: q.resume,
+            t0: now,
+            placed: now,
+            fin: f64::INFINITY,
+            restarts: q.restarts,
+            lost_work: q.lost_work,
+            ckpt_overhead: q.ckpt_overhead,
+            slowdown: 1.0,
+            fail_at,
+            dag: q.dag,
+        });
+        self.set_used(p.node, used);
+        self.running += 1;
+        Ok(true)
     }
-    records.sort_by_key(|r| r.id);
-    Ok(CampaignOutcome {
-        policy: policy.name().to_string(),
-        seed: config.seed,
-        nodes: config.nodes,
-        jobs: records,
-        makespan,
-        busy_core_secs: nodes.iter().map(|n| n.busy_core_secs).collect(),
-        cores_per_node: 2 * cores_per_socket,
-        staging_capacity: config.staging_gib,
-        peak_staging_gib: staging.peak,
-        corun_sets_priced: oracle.corun_cache_len(),
-        reprice_secs: repricer.spent_ns as f64 / 1e9,
-        reprice_calls: repricer.calls,
-    })
+
+    fn outcome(self) -> Result<CampaignOutcome, ClusterError> {
+        if !self.queue.is_empty() || self.held > 0 {
+            return Err(ClusterError::Config(format!(
+                "campaign drained with {} jobs still queued and {} stages held (policy {})",
+                self.queue.len(),
+                self.held,
+                self.policy.name()
+            )));
+        }
+        let mut jobs = self.records;
+        jobs.sort_by_key(|r| r.id);
+        Ok(CampaignOutcome {
+            policy: self.policy.name().to_string(),
+            seed: self.config.seed,
+            nodes: self.config.nodes,
+            jobs,
+            makespan: self.makespan,
+            busy_core_secs: self.nodes.iter().map(|n| n.busy_core_secs).collect(),
+            cores_per_node: 2 * self.cores_per_socket,
+            staging_capacity: self.config.staging_gib,
+            peak_staging_gib: self.staging.peak,
+            corun_sets_priced: self.oracle.corun_cache_len(),
+            reprice_secs: self.repricer.spent_ns as f64 / 1e9,
+            reprice_calls: self.repricer.calls,
+        })
+    }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrivals::TraceRow;
     use crate::policy::{all_policies, Fcfs};
+    use pmemflow_workloads::Family;
+
+    /// Run a campaign and hold it to [`audit`].
+    fn run(cfg: &CampaignConfig, policy: &dyn Policy, jobs: usize) -> CampaignOutcome {
+        let out = run_campaign(cfg, policy, jobs).unwrap();
+        audit(&out).unwrap();
+        out
+    }
+
+    /// [`run`] against a shared oracle.
+    fn run_with(cfg: &CampaignConfig, policy: &dyn Policy, oracle: &Oracle) -> CampaignOutcome {
+        let out = run_campaign_with_oracle(cfg, policy, oracle).unwrap();
+        audit(&out).unwrap();
+        out
+    }
 
     fn micro_config(n_arrivals: u64, nodes: usize) -> CampaignConfig {
         CampaignConfig {
@@ -1816,13 +2153,13 @@ mod tests {
     #[test]
     fn fcfs_campaign_serves_every_arrival() {
         let cfg = micro_config(6, 2);
-        let out = run_campaign(&cfg, &Fcfs, 2).unwrap();
+        let out = run(&cfg, &Fcfs, 2);
         assert_eq!(out.jobs.len(), 6);
         assert_eq!(out.completed(), 6);
         assert_eq!(out.failed(), 0);
         for (i, j) in out.jobs.iter().enumerate() {
             assert_eq!(j.id, i as u64);
-            assert!(j.start >= j.arrival - 1e-9, "job {i} started early");
+            assert!(j.start >= j.arrival, "job {i} started early");
             assert!(j.finish > j.start, "job {i} has no service time");
             assert!(j.node < 2);
             assert!(j.stretch() >= 0.999, "job {i} ran faster than solo");
@@ -1879,7 +2216,7 @@ mod tests {
             seed: 1,
             ..CampaignConfig::default()
         };
-        let out = run_campaign(&cfg, &Fcfs, 2).unwrap();
+        let out = run(&cfg, &Fcfs, 2);
         assert_eq!(out.jobs.len(), 8);
         // At most `clients` jobs are ever in flight: sort by start, check
         // every start has fewer than 2 unfinished predecessors.
@@ -1900,7 +2237,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_parseable_shape() {
-        let out = run_campaign(&micro_config(4, 2), &Fcfs, 2).unwrap();
+        let out = run(&micro_config(4, 2), &Fcfs, 2);
         let text = out.to_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5); // 4 jobs + summary
@@ -1922,7 +2259,7 @@ mod tests {
         let cfg = micro_config(5, 2);
         let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
         for policy in all_policies() {
-            let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &oracle).unwrap();
+            let out = run_with(&cfg, policy.as_ref(), &oracle);
             assert_eq!(out.jobs.len(), 5, "{}", policy.name());
             assert_eq!(out.policy, policy.name());
         }
@@ -1949,7 +2286,7 @@ mod tests {
 
     /// Solo runtime of the test workload, from a fault-free run.
     fn micro_solo() -> f64 {
-        let out = run_campaign(&micro_config(1, 1), &Fcfs, 1).unwrap();
+        let out = run(&micro_config(1, 1), &Fcfs, 1);
         out.jobs[0].solo
     }
 
@@ -1957,7 +2294,7 @@ mod tests {
     fn crashes_requeue_and_resume_from_checkpoints() {
         let solo = micro_solo();
         let cfg = faulty_config(solo, 2);
-        let out = run_campaign(&cfg, &Fcfs, 2).unwrap();
+        let out = run(&cfg, &Fcfs, 2);
         // Conservation: every submission ends in exactly one record.
         assert_eq!(out.jobs.len(), 6, "lost or duplicated jobs");
         assert_eq!(out.completed() + out.failed(), 6);
@@ -1988,22 +2325,22 @@ mod tests {
     fn fault_campaigns_are_deterministic_and_seed_sensitive() {
         let solo = micro_solo();
         let cfg = faulty_config(solo, 2);
-        let a = run_campaign(&cfg, &Fcfs, 1).unwrap().to_jsonl();
-        let b = run_campaign(&cfg, &Fcfs, 2).unwrap().to_jsonl();
+        let a = run(&cfg, &Fcfs, 1).to_jsonl();
+        let b = run(&cfg, &Fcfs, 2).to_jsonl();
         assert_eq!(a, b, "fault campaign differs across --jobs");
         let mut other = cfg.clone();
         other.faults.seed = 12;
-        let c = run_campaign(&other, &Fcfs, 1).unwrap().to_jsonl();
+        let c = run(&other, &Fcfs, 1).to_jsonl();
         assert_ne!(a, c, "fault seed has no effect");
     }
 
     #[test]
     fn checkpoint_tax_slows_completion_down() {
         let base = micro_config(2, 1);
-        let fast = run_campaign(&base, &Fcfs, 1).unwrap();
+        let fast = run(&base, &Fcfs, 1);
         let mut taxed_cfg = base.clone();
         taxed_cfg.checkpoint.interval = fast.jobs[0].solo / 10.0;
-        let taxed = run_campaign(&taxed_cfg, &Fcfs, 1).unwrap();
+        let taxed = run(&taxed_cfg, &Fcfs, 1);
         assert!(
             taxed.mean_response() > fast.mean_response(),
             "checkpoint writes must cost wall time: {} vs {}",
@@ -2024,7 +2361,7 @@ mod tests {
         cfg.faults.repair = solo / 50.0;
         cfg.checkpoint.interval = 0.0; // restarts from scratch
         cfg.checkpoint.retry_budget = 1;
-        let out = run_campaign(&cfg, &Fcfs, 1).unwrap();
+        let out = run(&cfg, &Fcfs, 1);
         assert_eq!(out.jobs.len(), 6, "every submission must be accounted");
         assert!(
             out.failed() > 0,
@@ -2049,10 +2386,10 @@ mod tests {
             cfg.faults.job_fail_prob = 0.3;
             let policies = all_policies();
             let policy = policies[policy].as_ref();
-            let incremental = run_campaign(&cfg, policy, 2).unwrap().to_jsonl();
+            let incremental = run(&cfg, policy, 2).to_jsonl();
             let mut full_cfg = cfg.clone();
             full_cfg.full_reprice = true;
-            let full = run_campaign(&full_cfg, policy, 2).unwrap().to_jsonl();
+            let full = run(&full_cfg, policy, 2).to_jsonl();
             assert_eq!(
                 incremental,
                 full,
@@ -2069,71 +2406,54 @@ mod tests {
         let solo = micro_solo();
         let mut cfg = faulty_config(solo, 2);
         cfg.faults.job_fail_prob = 0.3;
-        let reference = run_campaign(&cfg, &Fcfs, 1).unwrap().to_jsonl();
+        let reference = run(&cfg, &Fcfs, 1).to_jsonl();
         for jobs in [4, 8] {
-            let got = run_campaign(&cfg, &Fcfs, jobs).unwrap().to_jsonl();
+            let got = run(&cfg, &Fcfs, jobs).to_jsonl();
             assert_eq!(reference, got, "--jobs {jobs} changed the campaign JSONL");
         }
     }
 
-    /// Regression for the `next_eligible` epsilon bug: a backoff expiry a
-    /// nanosecond ahead must be selectable as the next event (the old
-    /// `e > now + 1e-9` filter dropped it from the candidate set), and
-    /// eligibility must be exact — never a nanosecond early.
+    /// An arrival half a nanosecond after a completion is its own event:
+    /// it must not be admitted at the completion's instant, before it
+    /// exists.
     #[test]
-    fn backoff_expiry_selection_is_exact() {
-        let q = |eligible: f64| Queued {
-            job: QueuedJob {
-                id: 0,
-                workflow: "w".into(),
-                ranks: 1,
-                arrival: 0.0,
-                staging: 0.0,
-                home: None,
-            },
-            client: None,
-            restarts: 0,
-            resume: 0.0,
-            eligible,
-            lost_work: 0.0,
-            ckpt_overhead: 0.0,
-            first_start: None,
-            config: None,
-            dag: None,
+    fn arrival_just_after_a_completion_starts_no_earlier_than_it_arrives() {
+        let row = |time: f64| TraceRow {
+            time,
+            family: Family::Micro64MB,
+            ranks: 24,
         };
-        let now = 100.0;
-        let sub_ns = now + 1e-10;
-        assert_eq!(
-            next_backoff_expiry(&VecDeque::from([q(sub_ns)]), now),
-            Some(sub_ns),
-            "a sub-nanosecond future expiry must be an event candidate"
-        );
-        assert!(
-            !backoff_expired(&q(sub_ns), now),
-            "a job must wait for its own expiry, not be placed early"
-        );
-        // At or before now: eligible, and no longer an event candidate.
-        assert!(backoff_expired(&q(now), now));
-        assert!(backoff_expired(&q(now - 1.0), now));
-        assert_eq!(next_backoff_expiry(&VecDeque::from([q(now)]), now), None);
-        // The earliest future expiry wins.
-        assert_eq!(
-            next_backoff_expiry(&VecDeque::from([q(now + 2.0), q(now + 1.0)]), now),
-            Some(now + 1.0)
-        );
+        let mut cfg = CampaignConfig {
+            nodes: 1,
+            arrivals: ArrivalSpec::Trace(vec![row(0.0)]),
+            ..CampaignConfig::default()
+        };
+        let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 1).unwrap();
+        let done = run_with(&cfg, &Fcfs, &oracle).jobs[0].finish;
+        let late = done + 0.5e-9;
+        assert!(late > done, "the offset must be representable");
+        cfg.arrivals = ArrivalSpec::Trace(vec![row(0.0), row(late)]);
+        let out = run_with(&cfg, &Fcfs, &oracle);
+        assert_eq!(out.jobs[0].finish, done);
+        for j in &out.jobs {
+            assert!(
+                j.start >= j.arrival,
+                "job {} started at {} before arriving at {}",
+                j.id,
+                j.start,
+                j.arrival
+            );
+        }
+        assert_eq!(out.jobs[1].start, late);
     }
 
-    /// The incremental [`QueueIndex`] must agree with the reference
-    /// scans it replaces — next backoff expiry and eligible-min-ranks —
-    /// across randomized enqueue/advance/remove churn.
-    #[test]
-    fn queue_index_matches_reference_scans_under_churn() {
-        let mk = |id: u64, ranks: usize, eligible: f64| Queued {
+    fn queued(id: u64, ranks: usize, arrival: f64, eligible: f64) -> Queued {
+        Queued {
             job: QueuedJob {
                 id,
                 workflow: "w".into(),
                 ranks,
-                arrival: 0.0,
+                arrival,
                 staging: 0.0,
                 home: None,
             },
@@ -2146,62 +2466,105 @@ mod tests {
             first_start: None,
             config: None,
             dag: None,
-        };
+        }
+    }
+
+    /// A backoff expiry a nanosecond ahead must be selectable as the next
+    /// event, and eligibility must be exact — never a nanosecond early.
+    #[test]
+    fn backoff_expiry_selection_is_exact() {
+        let now = 100.0;
+        let sub_ns = now + 1e-10;
+        let mut queue = Queue::new();
+        queue.push(queued(0, 1, 0.0, sub_ns), now);
+        assert_eq!(
+            queue.next_expiry(now),
+            Some(sub_ns),
+            "a sub-nanosecond future expiry must be an event candidate"
+        );
+        assert_eq!(queue.min_eligible_ranks(now), None);
+        assert!(queue.view(now).is_empty(), "placed before its own expiry");
+        // At the expiry: eligible, and no longer an event candidate.
+        assert_eq!(queue.next_expiry(sub_ns), None);
+        assert_eq!(queue.min_eligible_ranks(sub_ns), Some(1));
+        assert_eq!(queue.view(sub_ns).len(), 1);
+        // The earliest future expiry wins.
+        queue.push(queued(1, 1, 0.0, now + 2.0), sub_ns);
+        queue.push(queued(2, 1, 0.0, now + 1.0), sub_ns);
+        assert_eq!(queue.next_expiry(sub_ns), Some(now + 1.0));
+    }
+
+    /// The queue's indexes must agree with the reference scans they
+    /// replace — id lookup, next backoff expiry, eligible-min-ranks and
+    /// the policy view — across randomized enqueue/advance/remove churn,
+    /// including removals still inside their backoff (a DAG cascade).
+    #[test]
+    fn queue_indexes_match_reference_scans_under_churn() {
         let mut rng = SplitMix64::new(0x1D_E11);
-        let mut queue: VecDeque<Queued> = VecDeque::new();
-        let mut index = QueueIndex::new();
+        let mut queue = Queue::new();
         let mut now = 0.0f64;
         for id in 0..2_000u64 {
             match rng.range_u64(0, 4) {
-                // Enqueue: half already eligible, half in future backoff.
+                // Enqueue: half already eligible, half in future backoff;
+                // arrivals collide so ties break on id.
                 0 | 1 => {
                     let ranks = [8, 16, 24][rng.range_usize(0, 3)];
+                    let arrival = rng.range_usize(0, 50) as f64;
                     let eligible = now + rng.range_f64(-5.0, 5.0);
-                    enqueue(&mut queue, &mut index, mk(id, ranks, eligible), now);
+                    queue.push(queued(id, ranks, arrival, eligible), now);
                 }
                 // Advance time, sometimes exactly onto an expiry.
                 2 => {
-                    now = match next_backoff_expiry(&queue, now) {
+                    now = match reference::next_backoff_expiry(&queue.entries, now) {
                         Some(e) if rng.next_bool() => e,
                         _ => now + rng.range_f64(0.0, 3.0),
                     };
                 }
-                // Remove a random *eligible* entry, like a placement.
+                // Remove a random entry, usually an eligible one (a
+                // placement), sometimes any (a cascade).
                 _ => {
-                    let eligible: Vec<usize> = (0..queue.len())
-                        .filter(|&i| backoff_expired(&queue[i], now))
+                    let cascade = rng.next_bool() && rng.next_bool();
+                    let ids: Vec<u64> = queue
+                        .entries
+                        .iter()
+                        .filter(|q| cascade || backoff_expired(q, now))
+                        .map(|q| q.job.id)
                         .collect();
-                    if !eligible.is_empty() {
-                        let qi = eligible[rng.range_usize(0, eligible.len())];
-                        index.on_remove(&queue[qi]);
-                        queue.remove(qi);
+                    if !ids.is_empty() {
+                        let victim = ids[rng.range_usize(0, ids.len())];
+                        let q = queue.remove(victim, now).expect("queued id");
+                        assert_eq!(q.job.id, victim);
                     }
                 }
             }
+            assert!(queue
+                .entries
+                .iter()
+                .zip(queue.entries.iter().skip(1))
+                .all(|(a, b)| (a.job.arrival, a.job.id) < (b.job.arrival, b.job.id)));
+            for q in &queue.entries {
+                assert_eq!(queue.get(q.job.id).map(|g| g.job.id), Some(q.job.id));
+            }
             assert_eq!(
-                index.next_expiry(now).map(f64::to_bits),
-                next_backoff_expiry(&queue, now).map(f64::to_bits),
+                queue.next_expiry(now).map(f64::to_bits),
+                reference::next_backoff_expiry(&queue.entries, now).map(f64::to_bits),
                 "expiry diverged at step {id}"
             );
+            let eligible: Vec<u64> = queue
+                .entries
+                .iter()
+                .filter(|q| backoff_expired(q, now))
+                .map(|q| q.job.id)
+                .collect();
             let scan_min = queue
+                .entries
                 .iter()
                 .filter(|q| backoff_expired(q, now))
                 .map(|q| q.job.ranks)
                 .min();
-            if index.has_backoff(now) {
-                assert_eq!(
-                    index.min_ranks(),
-                    queue.iter().map(|q| q.job.ranks).min(),
-                    "rank multiset diverged at step {id}"
-                );
-            } else {
-                assert_eq!(
-                    index.min_ranks(),
-                    scan_min,
-                    "with no backoff pending the multiset must be the \
-                     eligible min exactly (step {id})"
-                );
-            }
+            assert_eq!(queue.min_eligible_ranks(now), scan_min, "step {id}");
+            let view: Vec<u64> = queue.view(now).iter().map(|j| j.id).collect();
+            assert_eq!(view, eligible, "view diverged at step {id}");
         }
     }
 
@@ -2214,7 +2577,7 @@ mod tests {
             ..FaultSpec::default()
         };
         cfg.checkpoint.interval = micro_solo() / 4.0;
-        let out = run_campaign(&cfg, &Fcfs, 1).unwrap();
+        let out = run(&cfg, &Fcfs, 1);
         assert_eq!(out.jobs.len(), 4);
         assert!(
             out.total_restarts() > 0,
@@ -2265,7 +2628,7 @@ mod tests {
     #[test]
     fn dag_campaign_respects_topology_and_is_jobs_invariant() {
         let cfg = dag_config(8, 2);
-        let out = run_campaign(&cfg, &Fcfs, 1).unwrap();
+        let out = run(&cfg, &Fcfs, 1);
         let dags = dag_specs_and_records(&cfg, &out);
         assert!(!dags.is_empty(), "seed 9 over 8 arrivals must draw a DAG");
         let mut plain = 0;
@@ -2302,7 +2665,7 @@ mod tests {
         // Byte-identical JSONL for any worker count.
         let reference = out.to_jsonl();
         for jobs in [4, 8] {
-            let got = run_campaign(&cfg, &Fcfs, jobs).unwrap().to_jsonl();
+            let got = run(&cfg, &Fcfs, jobs).to_jsonl();
             assert_eq!(reference, got, "--jobs {jobs} changed the campaign JSONL");
         }
     }
@@ -2311,7 +2674,7 @@ mod tests {
     fn staging_reservations_never_overcommit_any_node() {
         let cfg = dag_config(10, 2);
         for policy in all_policies() {
-            let out = run_campaign(&cfg, policy.as_ref(), 2).unwrap();
+            let out = run(&cfg, policy.as_ref(), 2);
             let dags = dag_specs_and_records(&cfg, &out);
             // All stages of a DAG run on its home node, and the whole
             // footprint is held there from first start to last finish.
@@ -2371,7 +2734,7 @@ mod tests {
             backoff_base: 1.0,
             ..CheckpointSpec::default()
         };
-        let out = run_campaign(&cfg, &Fcfs, 1).unwrap();
+        let out = run(&cfg, &Fcfs, 1);
         let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
         let expected: usize = arrivals
             .iter()
@@ -2381,7 +2744,7 @@ mod tests {
         assert_eq!(out.completed() + out.failed(), expected);
         // Determinism holds under faults too.
         let reference = out.to_jsonl();
-        let got = run_campaign(&cfg, &Fcfs, 8).unwrap().to_jsonl();
+        let got = run(&cfg, &Fcfs, 8).to_jsonl();
         assert_eq!(reference, got);
     }
 }

@@ -62,7 +62,7 @@ mod pricing;
 
 pub use arrivals::{generate_open, parse_trace, Arrival, ArrivalSpec, TraceRow};
 pub use campaign::{
-    run_campaign, run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError,
+    audit, run_campaign, run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError,
     JobRecord, BSLD_TAU,
 };
 pub use policy::{

@@ -3,9 +3,23 @@
 //! output across worker counts.
 
 use pmemflow_cluster::{
-    all_policies, run_campaign, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
-    CheckpointSpec, FaultSpec, Fcfs, Oracle,
+    all_policies, audit, run_campaign, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
+    CampaignOutcome, CheckpointSpec, FaultSpec, Fcfs, Oracle, Policy,
 };
+
+/// Run a campaign and hold it to [`audit`].
+fn run(cfg: &CampaignConfig, policy: &dyn Policy, jobs: usize) -> CampaignOutcome {
+    let out = run_campaign(cfg, policy, jobs).unwrap();
+    audit(&out).unwrap();
+    out
+}
+
+/// [`run`] against a shared oracle.
+fn run_with(cfg: &CampaignConfig, policy: &dyn Policy, oracle: &Oracle) -> CampaignOutcome {
+    let out = run_campaign_with_oracle(cfg, policy, oracle).unwrap();
+    audit(&out).unwrap();
+    out
+}
 
 /// A bursty stream over one micro family (3 rank levels): high rate so the
 /// queue actually builds and placements contend for capacity.
@@ -24,7 +38,7 @@ fn no_node_ever_exceeds_per_socket_capacity() {
     let cap = cfg.exec.node.cores_per_socket();
     let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
     for policy in all_policies() {
-        let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &oracle).unwrap();
+        let out = run_with(&cfg, policy.as_ref(), &oracle);
         // The resident set only changes at job starts, so checking every
         // start instant covers every distinct occupancy interval.
         for probe in &out.jobs {
@@ -50,7 +64,7 @@ fn no_node_ever_exceeds_per_socket_capacity() {
 
 #[test]
 fn fcfs_never_reorders_equal_priority_arrivals() {
-    let out = run_campaign(&contended_config(14, 2, 5), &Fcfs, 2).unwrap();
+    let out = run(&contended_config(14, 2, 5), &Fcfs, 2);
     // Records are in submission id order == arrival order for an open
     // stream; under FCFS nobody may start before an earlier arrival.
     for pair in out.jobs.windows(2) {
@@ -69,8 +83,8 @@ fn fcfs_never_reorders_equal_priority_arrivals() {
 fn identical_seed_means_byte_identical_jsonl_across_jobs() {
     let cfg = contended_config(10, 2, 9);
     for policy in all_policies() {
-        let serial = run_campaign(&cfg, policy.as_ref(), 1).unwrap();
-        let parallel = run_campaign(&cfg, policy.as_ref(), 4).unwrap();
+        let serial = run(&cfg, policy.as_ref(), 1);
+        let parallel = run(&cfg, policy.as_ref(), 4);
         assert_eq!(
             serial.to_jsonl(),
             parallel.to_jsonl(),
@@ -81,8 +95,8 @@ fn identical_seed_means_byte_identical_jsonl_across_jobs() {
     // And a different seed really is a different campaign.
     let mut other = contended_config(10, 2, 9);
     other.seed = 10;
-    let a = run_campaign(&cfg, &Fcfs, 2).unwrap();
-    let b = run_campaign(&other, &Fcfs, 2).unwrap();
+    let a = run(&cfg, &Fcfs, 2);
+    let b = run(&other, &Fcfs, 2);
     assert_ne!(a.to_jsonl(), b.to_jsonl());
 }
 
@@ -98,11 +112,7 @@ fn replicated_oracle_campaign_is_byte_identical_to_locked() {
     assert!(!locked.is_replicated());
     let references: Vec<String> = all_policies()
         .iter()
-        .map(|p| {
-            run_campaign_with_oracle(&cfg, p.as_ref(), &locked)
-                .unwrap()
-                .to_jsonl()
-        })
+        .map(|p| run_with(&cfg, p.as_ref(), &locked).to_jsonl())
         .collect();
     for jobs in [1, 4, 8] {
         // A fresh replicated oracle per concurrency level: `jobs` is the
@@ -111,9 +121,7 @@ fn replicated_oracle_campaign_is_byte_identical_to_locked() {
         let replicated = Oracle::build_with_replicas(&alphabet, &cfg.exec, jobs, 4).unwrap();
         assert!(replicated.is_replicated());
         for (policy, reference) in all_policies().iter().zip(&references) {
-            let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &replicated)
-                .unwrap()
-                .to_jsonl();
+            let out = run_with(&cfg, policy.as_ref(), &replicated).to_jsonl();
             assert_eq!(
                 reference,
                 &out,
@@ -155,11 +163,9 @@ fn faulty_config(n: u64, nodes: usize, seed: u64) -> CampaignConfig {
 fn same_fault_seed_is_byte_identical_jsonl_across_jobs_counts() {
     let cfg = faulty_config(10, 2, 9);
     for policy in all_policies() {
-        let reference = run_campaign(&cfg, policy.as_ref(), 1).unwrap().to_jsonl();
+        let reference = run(&cfg, policy.as_ref(), 1).to_jsonl();
         for jobs in [4, 8] {
-            let other = run_campaign(&cfg, policy.as_ref(), jobs)
-                .unwrap()
-                .to_jsonl();
+            let other = run(&cfg, policy.as_ref(), jobs).to_jsonl();
             assert_eq!(
                 reference,
                 other,
@@ -173,8 +179,8 @@ fn same_fault_seed_is_byte_identical_jsonl_across_jobs_counts() {
     let mut other = faulty_config(10, 2, 9);
     other.faults.seed = 4321;
     assert_ne!(
-        run_campaign(&cfg, &Fcfs, 2).unwrap().to_jsonl(),
-        run_campaign(&other, &Fcfs, 2).unwrap().to_jsonl(),
+        run(&cfg, &Fcfs, 2).to_jsonl(),
+        run(&other, &Fcfs, 2).to_jsonl(),
     );
 }
 
@@ -182,7 +188,7 @@ fn same_fault_seed_is_byte_identical_jsonl_across_jobs_counts() {
 fn every_submission_is_accounted_under_faults() {
     let cfg = faulty_config(12, 2, 7);
     for policy in all_policies() {
-        let out = run_campaign(&cfg, policy.as_ref(), 2).unwrap();
+        let out = run(&cfg, policy.as_ref(), 2);
         assert_eq!(
             out.jobs.len(),
             12,

@@ -21,7 +21,7 @@ use pmemflow::cli::{
     WORKLOAD_CHOICES,
 };
 use pmemflow::cluster::{
-    all_policies, policy_by_name, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
+    all_policies, audit, policy_by_name, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
     CheckpointSpec, DagClass, FaultSpec, Oracle, Policy, DAG_CLASS_CHOICES, POLICY_CHOICES,
 };
 use pmemflow::core::report::panel_table;
@@ -623,6 +623,9 @@ fn run_policies(
     );
     for outcome in outcomes {
         let o = outcome.map_err(|panic| format!("campaign panicked: {panic}"))??;
+        if cfg!(debug_assertions) {
+            audit(&o).map_err(|e| format!("campaign {} failed its audit: {e}", o.policy))?;
+        }
         let util = o.utilization();
         let mean_util = util.iter().sum::<f64>() / util.len().max(1) as f64;
         let peak = o.peak_staging_gib.iter().copied().fold(0.0, f64::max);
